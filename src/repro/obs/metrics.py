@@ -42,8 +42,9 @@ __all__ = [
 ]
 
 #: Request lifecycle stages, in journey order.  ``total`` is submit ->
-#: result (queue + assembly + solve inclusive; encode is wire-side and
-#: tracked separately because the in-process API never encodes).
+#: result (queue + assembly + solve inclusive).  ``encode`` is observed
+#: by the shard worker or child that solved a wire request, right after
+#: the solve and so inside ``total``; the in-process API never encodes.
 STAGES = ("admission", "queue", "assembly", "solve", "encode", "total")
 
 

@@ -256,9 +256,9 @@ class SolveService:
                  trace: Optional[TraceWriter] = None) -> None:
         self.config = config or ServiceConfig()
         self.faults = faults
-        # Loop-thread-writer metrics (admission/total; the servers add
-        # encode).  Shard workers own queue/assembly/solve and the
-        # solver counters; metrics_obj() merges everything.
+        # Loop-thread-writer metrics (admission/total).  Shard workers
+        # own queue/assembly/solve/encode and the solver counters;
+        # metrics_obj() merges everything.
         self._metrics = Metrics()
         shard_kwargs = dict(
             max_batch=self.config.max_batch,
@@ -337,6 +337,21 @@ class SolveService:
         The ``timeout_ms`` deadline starts *here* — it covers the wait
         for an admission slot, the shard queue, and the solve itself.
         """
+        return await self._submit(request, wire=False)
+
+    async def submit_wire(self, request: SolveRequest) -> str:
+        """Like :meth:`submit`, but resolves to wire-ready result bytes.
+
+        The answer is the JSON text of the response's ``results`` array
+        (:func:`~repro.service.protocol.results_fragment`), encoded by
+        the shard worker — or child process — that solved the request,
+        so the caller only splices its id in
+        (:func:`~repro.service.protocol.splice_response`).  Failures
+        raise the same structured errors as :meth:`submit`.
+        """
+        return await self._submit(request, wire=True)
+
+    async def _submit(self, request: SolveRequest, *, wire: bool):
         if not self._started or self._closed:
             raise RuntimeError("service is not running (use 'async with' or start())")
         # Fail fast in the caller's task: names checked before dispatch,
@@ -366,6 +381,7 @@ class SolveService:
             future = loop.create_future()
             shard.submit(_Work(
                 item=item, future=future, loop=loop, cancel=token, times=times,
+                wire=wire,
             ))
             return await future
         finally:
@@ -459,17 +475,13 @@ class SolveService:
     def metrics_obj(self) -> dict:
         """One mergeable metrics snapshot for the whole service.
 
-        Loop-side admission/total/encode merged with every shard's
-        queue/assembly/solve histograms and solver counters — identical
-        shape on both worker backends (the process backend's solve stage
-        and counters ride home on result frames; see
+        Loop-side admission/total merged with every shard's
+        queue/assembly/solve/encode histograms and solver counters —
+        identical shape on both worker backends (the process backend's
+        solve and encode stages and counters ride home on result frames; see
         :meth:`~repro.service.shards.ProcessShard.metrics_obj`).
         """
         merged = Metrics.from_obj(self._metrics.to_obj())
         for shard in self._shards:
             merged.merge(Metrics.from_obj(shard.metrics_obj()))
         return merged.to_obj()
-
-    def observe_encode(self, seconds: float) -> None:
-        """Record one response's wire-encode latency (servers, loop side)."""
-        self._metrics.observe("encode", seconds)

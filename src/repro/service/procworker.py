@@ -10,11 +10,18 @@ protocol over the child's stdin/stdout pipes:
   ``uint64`` part lengths, then the parts.  Part 0 is a pickle
   **protocol 5** payload; the remaining parts are its out-of-band
   :class:`pickle.PickleBuffer` buffers, in ``buffer_callback`` order.
-  That is the zero-copy hand-off the columnar backend was built for:
-  a result schedule travels as six raw ``int64`` column buffers
-  (:meth:`~repro.core.schedule.ScheduleColumns.to_ipc`), not as pickled
-  Python objects — with an in-band exact-int fallback for the rare
-  big-int overflow rows.
+* **Results** of wire requests (``encode`` set on the item, the JSON
+  front ends' :meth:`~repro.service.engine.SolveService.submit_wire`)
+  come back wire-ready: the child encodes the response's ``results``
+  array (:func:`~repro.service.protocol.results_fragment`) right after
+  the solve, and the parent splices the request id around that text —
+  no parent-side schedule rebuild, and the encode runs on the child's
+  core instead of the event loop.  Only in-process callers
+  (:meth:`~repro.service.engine.SolveService.submit`) still get
+  columnar results: a schedule travels as six raw ``int64`` column
+  buffers out of band
+  (:meth:`~repro.core.schedule.ScheduleColumns.to_ipc`), with an
+  in-band exact-int fallback for the rare big-int overflow rows.
 * **Requests** cross as the service's exact-rational wire encoding
   (:func:`~repro.service.protocol.instance_to_obj` /
   :func:`~repro.service.protocol.encode_time`), so a process shard's
@@ -67,6 +74,7 @@ from .protocol import (
     instance_from_obj,
     instance_to_obj,
     parse_time,
+    results_fragment,
 )
 
 __all__ = ["WorkerProc", "read_frame", "write_frame", "main"]
@@ -172,7 +180,7 @@ def read_frame(stream):
 
 def work_to_wire(item: BatchItem, token: Optional[CancelToken],
                  directive: Optional[dict] = None, *,
-                 slim: bool = False) -> dict:
+                 slim: bool = False, encode: bool = False) -> dict:
     """One batch item as wire data (exact-rational request encoding).
 
     The deadline crosses as a remaining-time *budget* read through the
@@ -189,6 +197,11 @@ def work_to_wire(item: BatchItem, token: Optional[CancelToken],
     ``ProcessShard._slim_plan``'s shadow-LRU argument).  The payload is
     the dominant per-item pipe cost, so warm traffic crosses in a few
     dozen bytes instead of re-shipping data the child already holds.
+
+    ``encode=True`` marks a wire request: the child answers it with the
+    JSON text of the response's ``results`` array
+    (:func:`~repro.service.protocol.results_fragment`) instead of a
+    columnar result, so the parent never rebuilds the schedule.
     """
     remaining_ms = None
     if token is not None:
@@ -215,6 +228,7 @@ def work_to_wire(item: BatchItem, token: Optional[CancelToken],
         "ms": list(item.ms) if item.ms is not None else None,
         "remaining_ms": remaining_ms,
         "fault": directive,
+        "encode": encode,
     }
 
 
@@ -273,7 +287,7 @@ def _token_from_wire(obj: dict) -> Optional[CancelToken]:
 
 
 def result_to_wire(result) -> dict:
-    """One solve outcome as wire data (child side).
+    """One solve outcome as columnar wire data (child side, in-process items).
 
     Certificates use the exact-rational encoding; schedules leave as
     columnar IPC payloads whose int64 buffers the protocol-5 pickler
@@ -412,7 +426,7 @@ def _run_batch(items_wire, *, lru, kernel, xbatch=False, metrics=None,
         except Exception:
             # Same per-item isolation as the thread backend: one bad
             # request must not poison its micro-batch.
-            outcomes = []
+            solved = []
             for item, token in zip(items, tokens):
                 try:
                     result = solve_batch(
@@ -420,22 +434,48 @@ def _run_batch(items_wire, *, lru, kernel, xbatch=False, metrics=None,
                         cancels=[token], before_solve=before, xbatch=xbatch,
                     )[0]
                 except Exception as exc:  # noqa: BLE001 - mapped to taxonomy
-                    outcomes.append(_error_outcome(exc))
+                    solved.append(_error_outcome(exc))
                 else:
-                    outcomes.append(("ok", result_to_wire(result)))
+                    solved.append(("ok", result))
         else:
-            outcomes = [("ok", result_to_wire(result)) for result in results]
+            solved = [("ok", result) for result in results]
     dur = time.monotonic() - t0
     if metrics is not None:
         for _ in items:
             metrics.observe("solve", dur)
         metrics.add_counts(scope.counts)
+    outcomes = [
+        _outcome_to_wire(outcome, obj["encode"], metrics)
+        for outcome, obj in zip(solved, items_wire)
+    ]
     if spans is not None:
         spans.append({
             "name": span_name, "t0": t0, "dur": dur,
             "n": len(items), "counts": dict(scope.counts),
         })
     return outcomes
+
+
+def _outcome_to_wire(outcome: tuple, encode: bool, metrics) -> tuple:
+    """One solved item's frame outcome, encoded off the solve clock.
+
+    Wire requests leave as their results fragment (the "encode" stage,
+    observed here where the encode runs); in-process requests as the
+    columnar :func:`result_to_wire` payload.  A failure fails only its
+    own item.
+    """
+    if outcome[0] != "ok":
+        return outcome
+    t0 = time.monotonic()
+    try:
+        if not encode:
+            return ("ok", result_to_wire(outcome[1]))
+        fragment = results_fragment(outcome[1])
+    except Exception as exc:  # noqa: BLE001 - mapped to taxonomy
+        return _error_outcome(exc)
+    if metrics is not None:
+        metrics.observe("encode", time.monotonic() - t0)
+    return ("ok", fragment)
 
 
 def _lru_obj(lru: InstanceLRU) -> dict:

@@ -51,6 +51,16 @@ A full solve result carries the certificate plus the schedule as the
 columnar row projection (:meth:`repro.core.schedule.Schedule.rows` —
 parallel arrays at one common ``scale``); a bounds-only result carries
 the same certificate fields with ``makespan_bound`` instead.
+
+Encoding is split so that it can run where the request was solved: a
+shard worker (or process-shard child) turns its answer into
+:func:`results_fragment` — the JSON text of the ``results`` array, each
+schedule column converted by one C-level ``.tolist()`` — and the event
+loop only splices the request id around it (:func:`splice_response`).
+:func:`response_line` is the two composed, byte-identical to a single
+``json.dumps`` of the whole payload.  Decoding accepts int lists at C
+speed and falls back to the per-element check only to reject, so every
+verdict and error message is that check's.
 """
 
 from __future__ import annotations
@@ -58,6 +68,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import countOf
 from typing import Optional, Union
 
 from ..algos.api import SolveResult
@@ -78,6 +89,8 @@ __all__ = [
     "instance_from_obj",
     "request_from_obj",
     "result_to_obj",
+    "results_fragment",
+    "splice_response",
     "response_line",
     "error_line",
     "metrics_line",
@@ -153,6 +166,9 @@ class ServiceError(Exception):
 # scalars
 # --------------------------------------------------------------------------- #
 
+#: ``json.dumps(..., separators=(",", ":"))`` without a fresh encoder per call.
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+
 
 def encode_time(value):
     """An exact rational as JSON: plain int, or ``[num, den]``."""
@@ -184,6 +200,11 @@ def parse_time(value, what: str = "time") -> Fraction:
 
 
 def _int_list(value, what: str) -> list[int]:
+    # Fast accept at C speed (every element exactly an int); anything
+    # else — bools, floats, int subclasses — takes the per-element loop,
+    # which alone decides rejections, so verdicts and messages are its.
+    if isinstance(value, list) and countOf(map(type, value), int) == len(value):
+        return value
     if not isinstance(value, list) or any(
         not isinstance(v, int) or isinstance(v, bool) for v in value
     ):
@@ -325,15 +346,24 @@ def request_from_obj(obj) -> SolveRequest:
 # --------------------------------------------------------------------------- #
 
 
+def _column(col) -> list:
+    """One ``rows()`` column as a list of Python ints.
+
+    numpy views and ``array('q')`` buffers convert in one C-level
+    ``.tolist()``; big-int (and thawed) columns already are lists.
+    """
+    return col if isinstance(col, list) else col.tolist()
+
+
 def _schedule_obj(schedule) -> dict:
     rows = schedule.rows()
     return {
         "scale": int(rows.scale),
-        "machine": [int(v) for v in rows.machine],
-        "start_num": [int(v) for v in rows.start_num],
-        "length_num": [int(v) for v in rows.length_num],
-        "cls": [int(v) for v in rows.cls],
-        "job_idx": [int(v) for v in rows.job_idx],
+        "machine": _column(rows.machine),
+        "start_num": _column(rows.start_num),
+        "length_num": _column(rows.length_num),
+        "cls": _column(rows.cls),
+        "job_idx": _column(rows.job_idx),
     }
 
 
@@ -368,12 +398,30 @@ def result_to_obj(result):
     raise TypeError(f"unexpected result type {type(result).__name__}")  # pragma: no cover
 
 
-def response_line(request_id, results) -> str:
-    """The success line for one request (``results`` is always a list)."""
+def results_fragment(results) -> str:
+    """The JSON text of a success line's ``results`` array.
+
+    ``results`` is one solve outcome or a list of them (an ``ms``
+    sweep).  Shard workers call this where they solve, so the event
+    loop only splices the request id around it (:func:`splice_response`).
+    """
     if not isinstance(results, list):
         results = [results]
-    payload = {"id": request_id, "ok": True, "results": [result_to_obj(r) for r in results]}
-    return json.dumps(payload, separators=(",", ":"))
+    return _compact([result_to_obj(r) for r in results])
+
+
+def splice_response(request_id, fragment: str) -> str:
+    """The success line around an encoded :func:`results_fragment`.
+
+    Byte-identical to ``json.dumps({"id": ..., "ok": True, "results":
+    ...}, separators=(",", ":"))``: same key order, same separators.
+    """
+    return '{"id":' + _compact(request_id) + ',"ok":true,"results":' + fragment + "}"
+
+
+def response_line(request_id, results) -> str:
+    """The success line for one request (``results`` one outcome or a list)."""
+    return splice_response(request_id, results_fragment(results))
 
 
 def error_line(request_id, error: Union["ServiceError", str]) -> str:

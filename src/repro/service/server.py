@@ -2,12 +2,14 @@
 
 Both transports speak the :mod:`repro.service.protocol` line protocol
 and share the connection handler: requests are parsed in arrival order,
-dispatched concurrently through :meth:`SolveService.submit`, and the
-responses are written back **in request order** (a writer coroutine
-drains a FIFO of response futures) — deterministic output for any
-interleaving of completions.  A per-connection admission window of
-``max_inflight`` bounds parsed-but-unanswered requests, so a
-fast-pipelining client cannot queue unbounded work.
+dispatched concurrently through :meth:`SolveService.submit_wire` (the
+shard worker that solves a request also encodes its results, so the
+loop only splices the id in), and the responses are written back **in
+request order** (a writer coroutine drains a FIFO of response futures)
+— deterministic output for any interleaving of completions.  A
+per-connection admission window of ``max_inflight`` bounds
+parsed-but-unanswered requests, so a fast-pipelining client cannot
+queue unbounded work.
 
 Housekeeping ops: ``ping`` answers inline; ``stats`` (the engine's
 counters plus the process's ``ru_maxrss``) and ``metrics`` (mergeable
@@ -30,7 +32,6 @@ import asyncio
 import json
 import logging
 import sys
-import time
 from typing import Awaitable, Callable, Optional
 
 from .engine import SolveService
@@ -41,7 +42,7 @@ from .protocol import (
     error_line,
     metrics_line,
     request_from_obj,
-    response_line,
+    splice_response,
 )
 
 __all__ = ["handle_lines", "serve_stdio", "serve_tcp"]
@@ -106,11 +107,9 @@ async def handle_lines(
         request_id = obj.get("id") if isinstance(obj, dict) else None
         try:
             request = request_from_obj(obj)
-            result = await service.submit(request)
-            t0 = time.monotonic()
-            line = response_line(request.id, result)
-            service.observe_encode(time.monotonic() - t0)
-            return line
+            # The shard worker that solved the request encoded it too:
+            # the loop only splices the id around the results fragment.
+            return splice_response(request.id, await service.submit_wire(request))
         except ServiceError as exc:  # already taxonomized (timeout/shed/...)
             return error_line(request_id, exc)
         except (ProtocolError, ValueError) as exc:

@@ -31,9 +31,11 @@ On top of the PR-5 dispatch plumbing, a shard is **fault-tolerant**:
   join timeout; awaiting clients are never left hanging.
 
 Results travel back to the asyncio event loop with
-``loop.call_soon_threadsafe`` onto per-request futures; a failed batch
-is retried item by item so one bad request cannot poison the others in
-its micro-batch.  Future resolution is **idempotent** (first writer
+``loop.call_soon_threadsafe`` onto per-request futures — for wire
+requests (``_Work.wire``) already encoded as the response's results
+text, so the loop never encodes a solve.  A failed batch is retried
+item by item so one bad request cannot poison the others in its
+micro-batch.  Future resolution is **idempotent** (first writer
 wins, later attempts see a done future and skip), which is what makes
 the shutdown/supervision sweeps race-safe against a worker that is
 still running.
@@ -56,7 +58,7 @@ from ..obs.trace import TraceScope, TraceWriter
 from .cache import InstanceLRU, LRUStats
 from .faults import FaultPlan, WorkerKilled
 from .procworker import WorkerProc, result_from_wire, work_to_wire
-from .protocol import ServiceError
+from .protocol import ServiceError, results_fragment
 
 __all__ = ["ProcessShard", "Shard", "ShardStats", "shard_index"]
 
@@ -92,6 +94,7 @@ class _Work(NamedTuple):
     loop: object        # the event loop that owns the future
     cancel: object = None  # Optional[CancelToken] (the request's deadline)
     times: object = None   # Optional[RequestTimes] (per-stage clock card)
+    wire: bool = False     # resolve with the encoded results fragment
 
 
 class Shard:
@@ -482,7 +485,9 @@ class Shard:
                 # Isolate the offender: re-run item by item so the rest
                 # of the micro-batch still gets its (bit-identical)
                 # answers and only the failing/expired request carries
-                # the error.
+                # the error.  Each answer is delivered as soon as it
+                # exists; its encode time stays off the solve clock.
+                encode_s = 0.0
                 for work in live:
                     try:
                         result = solve_batch(
@@ -493,28 +498,52 @@ class Shard:
                     except Exception as exc:  # noqa: BLE001 - mapped to taxonomy
                         self._resolve(work, None, self._request_error(exc))
                     else:
-                        self._resolve(work, result, None)
-                self._note_solved(live, t0, scope)
+                        te = time.monotonic()
+                        self._resolve(*self._finish(work, result))
+                        encode_s += time.monotonic() - te
+                self._note_solved(live, t0, scope, encode_s)
                 return
-        results_list = list(zip(live, results))
         self._note_solved(live, t0, scope)
         self._resolve_batch(
-            [(work, result, None) for work, result in results_list]
+            [self._finish(work, result) for work, result in zip(live, results)]
         )
 
-    def _note_solved(self, live: list[_Work], t0: float, scope) -> None:
-        """Fold one batch's trace into the metrics; emit its span."""
+    def _finish(self, work: _Work, result) -> tuple:
+        """One solved item's ``(work, result, error)`` resolution.
+
+        A wire item leaves as its encoded results fragment, so the event
+        loop only splices the id in; the "encode" stage is observed here,
+        where the encode runs.  An encode failure fails only its item.
+        """
+        if not work.wire:
+            return work, result, None
+        t0 = time.monotonic()
+        try:
+            fragment = results_fragment(result)
+        except Exception as exc:  # noqa: BLE001 - mapped to taxonomy
+            return work, None, self._request_error(exc)
+        self.metrics.observe("encode", time.monotonic() - t0)
+        return work, fragment, None
+
+    def _note_solved(self, live: list[_Work], t0: float, scope,
+                     encode_s: float = 0.0) -> None:
+        """Fold one batch's trace into the metrics; emit its span.
+
+        ``encode_s`` is encode time spent inside the batch's clock (the
+        isolation path encodes as it goes); it is not solve time.
+        """
         t1 = time.monotonic()
+        solve_s = t1 - t0 - encode_s
         for work in live:
             times = work.times
             if times is not None:
                 times.solve_end = t1
-            self.metrics.observe("solve", t1 - t0)
+            self.metrics.observe("solve", solve_s)
         self.metrics.add_counts(scope.counts)
         trace = self.trace
         if trace is not None:
             trace.write({
-                "name": f"shard{self.index}.batch", "t0": t0, "dur": t1 - t0,
+                "name": f"shard{self.index}.batch", "t0": t0, "dur": solve_s,
                 "n": len(live), "counts": dict(scope.counts),
             })
 
@@ -593,9 +622,10 @@ class ProcessShard(Shard):
     Same interface, queueing, supervision, and accounting as
     :class:`Shard` — the worker thread stays, but it becomes a *pump*:
     micro-batches are serialized over a length-prefixed pipe to a child
-    running :mod:`repro.service.procworker`, and the columnar results
-    decoded on return (see that module for the protocol).  The pump is
-    *pipelined* (:data:`PIPELINE_DEPTH`): while the child solves one
+    running :mod:`repro.service.procworker`, which answers wire requests
+    with encoded result text and in-process ones with columnar results
+    (see that module for the protocol).  The pump is *pipelined*
+    (:data:`PIPELINE_DEPTH`): while the child solves one
     batch, the next is already encoded and shipped, so the wire codec
     and the pipe round trip overlap the solve instead of serializing
     with it — the process backend's throughput tax is one batch's
@@ -843,10 +873,11 @@ class ProcessShard(Shard):
             self._child_failure(
                 list(live) + doomed, "worker pipe broke mid-send", cause=exc
             )
-        # Assembly ends when the batch is shipped.  The "solve" stage is
-        # owned by the child (it rides home on the result frame); the
-        # parent-side solve_start/solve_end stamps exist only for the
-        # slow-request log and include the pipe round trip.
+        # Assembly ends when the batch is shipped.  The "solve" and
+        # "encode" stages are owned by the child (they ride home on the
+        # result frame); the parent-side solve_start/solve_end stamps
+        # exist only for the slow-request log and include the pipe
+        # round trip.
         t_sent = time.monotonic()
         for work in live:
             times = work.times
@@ -896,7 +927,9 @@ class ProcessShard(Shard):
             if not slim:
                 avail.add(fp)  # its payload rides this frame from here on
             touches.append((fp, w.cancel is None and directive is None))
-            wire.append(work_to_wire(w.item, w.cancel, directive, slim=slim))
+            wire.append(work_to_wire(
+                w.item, w.cancel, directive, slim=slim, encode=w.wire
+            ))
         max_entries = self.lru.max_entries
         for fp, certain in touches:
             if certain and fp in shadow:
@@ -978,17 +1011,11 @@ class ProcessShard(Shard):
                 )
             if not (isinstance(msg, tuple) and msg and msg[0] == "result"):
                 continue
-            # Tolerant unpack: frames from PR-7 children carry 4 fields;
-            # current children append the metrics snapshot and the
-            # batch's span summaries.
-            got_id, outcomes, lru_obj = msg[1], msg[2], msg[3]
-            met_obj = msg[4] if len(msg) > 4 else None
-            spans = msg[5] if len(msg) > 5 else ()
+            _, got_id, outcomes, lru_obj, met_obj, spans = msg
             if got_id != batch_id:  # stale frame from a raced teardown
                 continue
             self._lru_live = lru_obj
-            if met_obj is not None:
-                self._met_live = met_obj
+            self._met_live = met_obj
             trace = self.trace
             if trace is not None:
                 for record in spans:
@@ -997,11 +1024,11 @@ class ProcessShard(Shard):
             return
 
     def metrics_obj(self) -> dict:
-        """Pump-side stages merged with the child's counters+solve.
+        """Pump-side stages merged with the child's counters+solve+encode.
 
         Shapes match the thread backend exactly: queue/assembly come
         from the pump (observed in :meth:`_expire`/:meth:`_send`),
-        solve and the solver counters from the child generations
+        solve, encode and the solver counters from the child generations
         (live snapshot + dead totals).
         """
         for _ in range(8):
@@ -1025,7 +1052,10 @@ class ProcessShard(Shard):
         for work, outcome in zip(live, outcomes):
             if outcome[0] == "ok":
                 try:
-                    result = result_from_wire(outcome[1], work.item.instance)
+                    if work.wire:  # the child's encoded results fragment
+                        result = outcome[1]
+                    else:
+                        result = result_from_wire(outcome[1], work.item.instance)
                 except Exception as exc:  # noqa: BLE001 - malformed frame
                     log.exception("shard %d: malformed worker result", self.index)
                     error = ServiceError.internal("malformed worker result")

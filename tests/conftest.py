@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 from fractions import Fraction
 
 import pytest
@@ -51,3 +52,27 @@ def full_job_schedule(inst: Instance, assignment: dict[int, list[JobRef]]) -> Sc
 
 
 J = JobRef  # shorthand in tests
+
+
+def drive_lines(lines: list[str], config) -> list[str]:
+    """Serve ``lines`` through one ``handle_lines`` connection of a fresh
+    service with ``config``; returns the raw reply lines in order."""
+    from repro.service import SolveService
+    from repro.service.server import handle_lines
+
+    async def main():
+        out: list[str] = []
+        feed = iter([line.encode() + b"\n" for line in lines] + [b""])
+
+        async def readline() -> bytes:
+            await asyncio.sleep(0)  # let completions interleave with reads
+            return next(feed)
+
+        async def write_line(line: str) -> None:
+            out.append(line)
+
+        async with SolveService(config) as svc:
+            await handle_lines(svc, readline, write_line)
+        return out
+
+    return asyncio.run(main())

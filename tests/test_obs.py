@@ -55,7 +55,8 @@ from repro.service.protocol import (
     SolveRequest,
     metrics_line,
 )
-from repro.service.server import handle_lines
+
+from .conftest import drive_lines
 
 TINY = Instance.build(2, [(2, [3, 4]), (1, [2, 2, 2])])
 WIDE = Instance.build(3, [(1, [2, 5]), (3, [1, 1, 4]), (2, [3])])
@@ -434,22 +435,7 @@ class TestSlowRequestLog:
 
 
 def _drive_lines(lines: list[str], config: ServiceConfig) -> list[dict]:
-    async def main():
-        out: list[str] = []
-        feed = [line.encode() + b"\n" for line in lines] + [b""]
-        it = iter(feed)
-
-        async def readline() -> bytes:
-            return next(it)
-
-        async def write_line(line: str) -> None:
-            out.append(line)
-
-        async with SolveService(config) as svc:
-            await handle_lines(svc, readline, write_line)
-        return [json.loads(line) for line in out]
-
-    return asyncio.run(main())
+    return [json.loads(line) for line in drive_lines(lines, config)]
 
 
 class TestMetricsWireOp:
@@ -472,6 +458,37 @@ class TestMetricsWireOp:
         assert "repro_stage_seconds" in replies[2]["metrics_text"]
         assert not replies[3]["ok"]
         assert replies[3]["error"]["code"] == "bad_request"
+
+    def test_encode_counted_where_it_runs_on_both_backends(self):
+        # The worker (thread) or child (process) that solved a wire
+        # request also encoded it: one "encode" observation per solve
+        # response, none for the loop, identical shapes either way.
+        from repro.service.protocol import instance_to_obj
+
+        lines = []
+        for k, req in enumerate(_requests(10)):
+            obj = {"id": k, "instance": instance_to_obj(req.instance),
+                   "variant": req.variant.value,
+                   "schedules": req.schedules}
+            if k % 4 == 3:
+                obj["ms"] = [1, 2, 3]
+            lines.append(json.dumps(obj))
+        lines.append(json.dumps({"id": "bad", "instance": {"m": 1}}))
+        lines.append(json.dumps({"id": "m", "op": "metrics"}))
+        shapes = {}
+        for workers in ("thread", "process"):
+            config = ServiceConfig(shards=2, max_batch=4, max_instances=2,
+                                   workers=workers)
+            replies = _drive_lines(lines, config)
+            metrics = replies[-1]["metrics"]
+            solved = sum(1 for r in replies[:-1] if r["ok"])
+            assert solved == 10
+            stages = metrics["stages"]
+            assert stages["encode"]["count"] == solved, workers
+            assert stages["solve"]["count"] == solved, workers
+            assert stages["total"]["count"] == solved, workers
+            shapes[workers] = {k: sorted(v) for k, v in stages.items()}
+        assert shapes["thread"] == shapes["process"]
 
     def test_metrics_line_rejects_unknown_format(self):
         assert METRICS_FORMATS == ("json", "prometheus")

@@ -17,6 +17,7 @@ import random
 import subprocess
 import sys
 import threading
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
@@ -51,8 +52,12 @@ from repro.service.protocol import (
     request_from_obj,
     response_line,
     result_to_obj,
+    results_fragment,
+    splice_response,
 )
 from repro.service.shards import shard_index
+
+from .conftest import drive_lines
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -425,6 +430,149 @@ class TestProtocol:
 
 
 # --------------------------------------------------------------------------- #
+# wire bytes: the columnar encode and the id splice
+# --------------------------------------------------------------------------- #
+
+#: Request ids of every JSON type (the non-ASCII string is escaped on the
+#: wire, the nested object keeps its key order).
+WIRE_IDS = (
+    7, 0, -3, "req-7", "zákaz-✓-決定", None, True, 2.5,
+    {"client": "a", "seq": [1, {"k": None}]}, [1, "two"],
+)
+
+BIG = 1 << 70
+#: Values past int64: the schedule's columns fall back to exact-int lists.
+BIGINT = Instance.build(2, [(BIG, [BIG, BIG]), (1, [2]), (3, [BIG + 1, 5])])
+
+
+def library_answer(req: SolveRequest):
+    """The in-process library answer a wire reply must encode."""
+    inst = req.instance
+    if req.ms is not None or not req.schedules:
+        return sweep_machines(
+            inst, list(req.ms) if req.ms is not None else [inst.m],
+            req.variant, req.algorithm, req.eps, schedules=req.schedules,
+        )
+    return solve(inst, req.variant, req.algorithm, req.eps)
+
+
+def _legacy_schedule_obj(schedule) -> dict:
+    """The per-element ``int(v)`` encode the columnar one must match."""
+    rows = schedule.rows()
+    return {
+        "scale": int(rows.scale),
+        "machine": [int(v) for v in rows.machine],
+        "start_num": [int(v) for v in rows.start_num],
+        "length_num": [int(v) for v in rows.length_num],
+        "cls": [int(v) for v in rows.cls],
+        "job_idx": [int(v) for v in rows.job_idx],
+    }
+
+
+def legacy_line(request_id, results) -> str:
+    """One success line built as a whole-payload ``json.dumps``."""
+    objs = []
+    for r in results if isinstance(results, list) else [results]:
+        obj = result_to_obj(r)
+        if obj["kind"] == "solve":
+            obj["schedule"] = _legacy_schedule_obj(r.schedule)
+        objs.append(obj)
+    return json.dumps(
+        {"id": request_id, "ok": True, "results": objs}, separators=(",", ":")
+    )
+
+
+class _Small(IntEnum):
+    ONE = 1
+
+
+def _old_int_list(value, what):
+    """The pre-fast-path ``_int_list``: the verdict oracle."""
+    if not isinstance(value, list) or any(
+        not isinstance(v, int) or isinstance(v, bool) for v in value
+    ):
+        raise ProtocolError(f"{what} must be a list of ints, got {value!r}")
+    return value
+
+
+class TestWireBytes:
+    def answers(self):
+        tiny = Instance.build(2, [(2, [3, 4]), (1, [2, 2, 2])])
+        out = []
+        for inst in (tiny, BIGINT, medium_suite()[0][1]):
+            for variant in Variant:
+                out.append(solve(fresh(inst), variant))
+                out.append(sweep_machines(
+                    fresh(inst), [1, inst.m + 1], variant, schedules=False
+                ))
+                out.append(sweep_machines(fresh(inst), [1, inst.m + 1], variant))
+        return out
+
+    @pytest.mark.parametrize("request_id", WIRE_IDS)
+    def test_splice_equals_whole_payload_dumps(self, request_id):
+        for results in self.answers():
+            line = response_line(request_id, results)
+            assert line == legacy_line(request_id, results)
+            assert line == splice_response(request_id, results_fragment(results))
+            assert json.loads(line)["id"] == request_id
+
+    def test_array_q_columns_without_numpy(self, monkeypatch):
+        # the minimal-deps footprint: rows() hands out array('q') buffers
+        from array import array
+
+        import repro.core.schedule as schedule_mod
+
+        monkeypatch.setattr(schedule_mod, "_np", None)
+        inst = medium_suite()[0][1]
+        for variant in Variant:
+            ref = solve(fresh(inst), variant)
+            assert isinstance(ref.schedule.rows().start_num, array)
+            assert response_line(1, ref) == legacy_line(1, ref)
+
+    def test_bigint_list_columns_pass_through(self):
+        for variant in Variant:
+            ref = solve(fresh(BIGINT), variant)
+            rows = ref.schedule.rows()
+            assert isinstance(rows.start_num, list)
+            assert max(rows.start_num) + max(rows.length_num) >= BIG
+            assert response_line("big", ref) == legacy_line("big", ref)
+
+    @pytest.mark.parametrize("value", [
+        [], [1, 2, 3], [0, -5, 1 << 80], [True], [1, False], [1, 2.0],
+        [1.5], ["3"], [None], [[1]], [{}], 7, "12", None, (1, 2),
+        {"a": 1}, [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 1.0], [_Small.ONE, 2],
+    ])
+    def test_int_list_verdicts_and_messages_unchanged(self, value):
+        from repro.service.protocol import _int_list
+
+        try:
+            want = _old_int_list(value, "instance.setups")
+        except ProtocolError as exc:
+            with pytest.raises(ProtocolError) as got:
+                _int_list(value, "instance.setups")
+            assert str(got.value) == str(exc)
+        else:
+            assert _int_list(value, "instance.setups") is want
+
+    def test_request_decode_rejections_unchanged(self, tiny):
+        base = instance_to_obj(tiny)
+        cases = [
+            ({**base, "setups": [2, True]}, "instance.setups must be a list of ints"),
+            ({**base, "jobs": [[3, 4.0], [2, 2, 2]]}, r"instance.jobs\[0\]"),
+            ({**base, "jobs": [[3, 4], [2, False, 2]]}, r"instance.jobs\[1\]"),
+            ({**base, "jobs": [[3, 0], [2, 2, 2]]}, "processing times must be positive"),
+            ({**base, "setups": [-1, 1]}, "must be a non-negative int"),
+        ]
+        for inst_obj, match in cases:
+            with pytest.raises(ProtocolError, match=match):
+                request_from_obj({"instance": inst_obj})
+        with pytest.raises(ProtocolError, match="ms must be a list of ints"):
+            request_from_obj({"instance": base, "ms": [2, 3.0]})
+        with pytest.raises(ProtocolError, match="ms must be a non-empty"):
+            request_from_obj({"instance": base, "ms": [2, 0]})
+
+
+# --------------------------------------------------------------------------- #
 # the service engine
 # --------------------------------------------------------------------------- #
 
@@ -639,6 +787,119 @@ class TestServiceFuzz:
             assert_matches_reference(req, result)
         assert stats.peak_instances <= stats.max_instances
         assert stats.peak_inflight <= config.max_inflight
+
+
+class TestWireFuzz:
+    """Seeded wire fuzz: every solve line is byte-identical to the library's.
+
+    Lines go through the real connection handler, so the bytes come from
+    the worker-side encode (thread worker or child process) plus the
+    loop's id splice; the reference is ``response_line`` over the
+    in-process library answer.  Ids span every JSON type, requests span
+    full singles, bounds-only singles and ``ms`` sweeps, and the pool
+    includes a big-int instance whose schedules use list columns.
+    """
+
+    @pytest.mark.parametrize("workers", ["thread", "process"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_solve_lines_byte_identical(self, seed, workers):
+        rng = random.Random(2000 + seed)
+        pool = TestServiceFuzz().pool() + [BIGINT]
+        config = ServiceConfig(
+            shards=rng.randint(1, 3),
+            max_batch=rng.randint(1, 8),
+            max_inflight=rng.randint(2, 16),
+            max_instances=rng.randint(1, 3),
+            workers=workers,
+        )
+        lines, expected = [], []
+        for k in range(rng.randint(16, 28)):
+            inst = rng.choice(pool)
+            obj = {
+                "id": WIRE_IDS[k % len(WIRE_IDS)],
+                "instance": instance_to_obj(fresh(inst, rng.randint(1, inst.n + 1))),
+                "variant": rng.choice(list(Variant)).value,
+                "algorithm": rng.choice(("three_halves", "eps")),
+            }
+            shape = rng.choice(("full", "bounds", "sweep"))
+            if shape == "bounds":
+                obj["bounds_only"] = True
+            elif shape == "sweep":
+                obj["ms"] = sorted(rng.sample(range(1, inst.n + 2), 2))
+                obj["schedules"] = rng.random() < 0.5
+            if k == 5:
+                del obj["id"]  # a missing id answers as null
+            lines.append(json.dumps(obj))
+            req = request_from_obj(obj)
+            expected.append(response_line(req.id, library_answer(req)))
+        lines.insert(3, json.dumps({"id": "bad", "instance": {"m": 2}}))
+        replies = drive_lines(lines, config)
+        bad = json.loads(replies.pop(3))
+        assert bad["id"] == "bad" and bad["error"]["code"] == "bad_request"
+        assert replies == expected
+
+
+class TestEncodeFailureIsolation:
+    """An encode that raises fails only its own request, as ``internal``."""
+
+    @staticmethod
+    def _poisoned(real):
+        def fragment(results):
+            items = results if isinstance(results, list) else [results]
+            if any(getattr(r, "variant", None) is Variant.SPLITTABLE for r in items):
+                raise RuntimeError("boom")
+            return real(results)
+
+        return fragment
+
+    def test_thread_worker(self, monkeypatch, tiny):
+        import repro.service.shards as shards_mod
+
+        monkeypatch.setattr(
+            shards_mod, "results_fragment",
+            self._poisoned(shards_mod.results_fragment),
+        )
+        lines = [
+            json.dumps({"id": k, "instance": instance_to_obj(tiny),
+                        "variant": variant.value})
+            for k, variant in enumerate(Variant)
+        ]
+        replies = [
+            json.loads(line)
+            for line in drive_lines(lines, ServiceConfig(shards=1, max_batch=8))
+        ]
+        assert [r["ok"] for r in replies] == [
+            v is not Variant.SPLITTABLE for v in Variant
+        ]
+        [err] = [r for r in replies if not r["ok"]]
+        assert err["error"] == {
+            "code": "internal", "message": "internal error", "retryable": False,
+        }
+
+    def test_child_batch(self, monkeypatch, tiny):
+        import repro.service.procworker as procworker
+        from repro.obs.metrics import Metrics
+
+        monkeypatch.setattr(
+            procworker, "results_fragment",
+            self._poisoned(procworker.results_fragment),
+        )
+        items = [SolveRequest(instance=fresh(tiny), variant=v).to_item()
+                 for v in Variant]
+        wire = [procworker.work_to_wire(item, None, encode=True) for item in items]
+        # an in-process item never encodes: the columnar result is unaffected
+        wire.append(procworker.work_to_wire(items[-1], None))
+        metrics = Metrics()
+        outcomes = procworker._run_batch(
+            wire, lru=None, kernel="fast", metrics=metrics
+        )
+        assert [o[0] for o in outcomes] == ["ok", "ok", "err", "ok"]
+        assert outcomes[2] == ("err", "internal", "internal error", False)
+        assert outcomes[0][1] == results_fragment(solve(fresh(tiny), Variant.NONPREEMPTIVE))
+        assert outcomes[3][1]["kind"] == "solve"
+        stages = metrics.to_obj()["stages"]
+        assert stages["encode"]["count"] == 2  # the two fragments that encoded
+        assert stages["solve"]["count"] == 4
 
 
 class TestXbatchTimeout:
