@@ -6,7 +6,7 @@ flat ``{bench_name: seconds}`` JSON (default ``BENCH_PR10.json`` in the
 repository root; ``BENCH_PR1.json``..``BENCH_PR9.json`` are the preserved
 earlier snapshots).
 
-Eleven bench families:
+Nine bench families:
 
 * ``solve/<fixture>/<variant>/<kernel>`` — single ``repro.solve`` calls on
   both numeric kernels (``fast`` scaled-int default vs the ``fraction``
@@ -22,16 +22,6 @@ Eleven bench families:
   the capacity-planning/service shape).
 * ``many/<fixture>/<variant>/{loop,batch}`` — a service-shaped stream of
   repeated/related requests through ``solve_many`` (full schedules).
-* ``gridnonp/wide/{scalar,grid,auto}`` — bounds-only non-preemptive
-  machine sweeps on the many-class ``wide`` fixture with the grid
-  evaluator forced off / forced on / auto.  Since PR 5's ``class_tmax``
-  short-circuit the *scalar* probes win at every measured ``c``
-  (Experiment S3 re-run up to 3200 classes), so the auto policy keeps
-  them; the acceptance check is now the derived
-  ``speedup/gridauto/wide`` — the auto policy must track the measured
-  winner (CI floor 0.8, noise allowance on ms-scale cells).
-  ``speedup/gridnonp/wide`` (scalar over forced-grid) is kept for
-  trajectory diffs against the PR-3/PR-4 snapshots.
 * ``nonpconstruct/<fixture>/{fast,fraction}`` — Algorithm 6's
   construction alone (``nonp_dual_schedule`` at the accepted integer
   ``T*``, schedule fully materialized): the PR-4 index-based
@@ -65,22 +55,14 @@ Eleven bench families:
   serialization cost, no parallelism to hide behind).  Both the
   headline and the floor presume parent and child get their own CPU —
   check ``meta/cpu_count`` (the CI assert skips below 2).
-* ``xbatch/<shape>/{seq,fused}`` — the PR-8 cross-instance batched dual
-  tests: one service micro-batch (16 bounds-only ``eps`` solves, mixed
-  variants) through ``solve_batch`` with per-item probe loops vs the
-  lockstep coordinator fusing each round's probes across instances into
-  one padded grid evaluation.  Identical probe streams and bit-identical
-  verdicts on both sides (``use_grid=False``; the drift regression pins
-  the streams), warm instance caches.  The derived
-  ``speedup/xbatch/<shape>`` is the PR-8 acceptance series (≥ 1.3× on
-  the medium micro-batch; CI smoke floor 1.1).
 * ``plans/<fixture>/<variant>/{warm,cold}`` — the PR-9 pair-native plan
   tier: one bounds-only single solve (``solve_batch`` with a single
-  ``schedules=False`` item, ``use_grid=False``) — exactly the probe-plan
-  search plus certificate assembly the plan tier rewrote onto normalized
-  ``(num, den)`` pairs.  ``warm`` reuses one instance (hot caches, the
-  service's repeated-dispatch regime); ``cold`` rebuilds the instance
-  each run.  The derived ``speedup/plans/<fixture>/<variant>`` is the
+  ``schedules=False`` item) — exactly the probe-plan search plus
+  certificate assembly the plan tier rewrote onto normalized ``(num,
+  den)`` pairs, dispatched as the service dispatches it (on ``wide``
+  the splittable flip search takes the grid ``GRID_POLICY`` picks).
+  ``warm`` reuses one instance (hot caches, the service's
+  repeated-dispatch regime); ``cold`` rebuilds the instance each run.  The derived ``speedup/plans/<fixture>/<variant>`` is the
   warm fraction-driver over warm fast-plan ratio, and the headline
   ``speedup/plans/<fixture>`` is the *minimum* of the splittable and
   preemptive cells — the two flip searches whose `Fraction` bookkeeping
@@ -105,9 +87,7 @@ engine ratios (dimensionless).  Each measurement is the best of
 ``--reps`` runs on freshly constructed instances.
 
 ``--smoke`` restricts to the medium fixture with fewer repetitions — used
-by CI to catch gross regressions without burning minutes.  The
-``gridnonp`` family runs in smoke mode too (it is the acceptance check
-for the flattened non-preemptive grid).
+by CI to catch gross regressions without burning minutes.
 """
 
 from __future__ import annotations
@@ -272,10 +252,11 @@ def bench_plans(inst: Instance, fixture_name: str, reps: int) -> dict[str, float
 
     Bounds-only single solves isolate the search layer: the plan
     generators' probes, memo table, bracket bookkeeping and certificate
-    assembly — no schedule construction.  ``use_grid=False`` on both
-    sides so the cell measures the scalar plan drive, not the flattened
-    grids.  The cells are microseconds-scale, so each measurement times
-    an inner block and divides.
+    assembly — no schedule construction.  The fast side dispatches like
+    the service (scalar probes except where ``GRID_POLICY`` picks the
+    flip-search grid); the fraction side always probes scalar.  The
+    cells are microseconds-scale, so each measurement times an inner
+    block and divides.
     """
     from repro.algos.batch_api import BatchItem, solve_batch
 
@@ -297,18 +278,14 @@ def bench_plans(inst: Instance, fixture_name: str, reps: int) -> dict[str, float
             schedules=False,
         )
         for kern in KERNELS:  # prime the shared caches outside the clock
-            solve_batch([item], kernel=kern, use_grid=False)
-        warm = block(
-            lambda: solve_batch([item], kernel="fast", use_grid=False), inner=20
-        )
-        warm_frac = block(
-            lambda: solve_batch([item], kernel="fraction", use_grid=False), inner=20
-        )
+            solve_batch([item], kernel=kern)
+        warm = block(lambda: solve_batch([item], kernel="fast"), inner=20)
+        warm_frac = block(lambda: solve_batch([item], kernel="fraction"), inner=20)
         cold = block(
             lambda v=variant: solve_batch(
                 [BatchItem(instance=fresh(inst), variant=v,
                            algorithm="three_halves", schedules=False)],
-                kernel="fast", use_grid=False,
+                kernel="fast",
             ),
             inner=5,
         )
@@ -343,123 +320,12 @@ def bench_shortcut(inst: Instance, fixture_name: str, reps: int) -> dict[str, fl
     return out
 
 
-def bench_grid_nonp(reps: int) -> dict[str, float]:
-    """Flattened nonp grid vs scalar probes at large ``c`` (wide fixture)."""
-    if not batchdual.HAVE_NUMPY:
-        return {}
-    inst = FIXTURES["wide"]()
-    ms = sweep_ms(inst)
-    out: dict[str, float] = {}
-    for label, grid in (("scalar", False), ("grid", True), ("auto", None)):
-        out[f"gridnonp/wide/{label}"] = best_of(
-            lambda g=grid: sweep_machines(
-                fresh(inst), ms, Variant.NONPREEMPTIVE, schedules=False, use_grid=g
-            ),
-            reps,
-        )
-    out["speedup/gridnonp/wide"] = (
-        out["gridnonp/wide/scalar"] / out["gridnonp/wide/grid"]
-    )
-    # The auto policy must track the measured winner (the acceptance
-    # check since the class_tmax shortcut flipped the crossover: scalar
-    # probes win at every measured c, so auto == scalar modulo noise).
-    out["speedup/gridauto/wide"] = (
-        min(out["gridnonp/wide/scalar"], out["gridnonp/wide/grid"])
-        / out["gridnonp/wide/auto"]
-    )
-    return out
-
-
-def bench_xbatch(reps: int) -> dict[str, float]:
-    """Cross-instance fused dual tests vs per-item probe loops (PR 8).
-
-    One service micro-batch (16 bounds-only ``eps`` solves — the shard
-    dispatch shape at the default ``max_batch``) per fixture shape,
-    solved through ``solve_batch`` with ``xbatch=False`` (one Python
-    probe loop per item) and ``xbatch=True`` (the lockstep coordinator
-    fusing each round's probes across instances into one padded grid
-    evaluation).  Both sides run scalar per-probe streams
-    (``use_grid=False``), so the cell isolates exactly what the fused
-    path replaces: the probe *streams* are identical by construction
-    (the drift regression in ``tests/test_xbatch.py`` pins this) and
-    the verdicts bit-identical — only the evaluator changes.  Instances
-    are warmed outside the clock (warm per-instance caches, the
-    service's repeated-dispatch regime; both sides share the state).
-
-    The fixture shapes are micro-batch compositions, not the
-    single-instance ``FIXTURES``: ``medium``/``wide`` draw uniform
-    many-class instances in the near-linear regime the paper targets
-    (``m`` close to ``c``, where the bracket searches are longest);
-    ``zipf`` draws heavy-tailed class sizes at moderate job times.
-    Variants round-robin through all three.  The derived
-    ``speedup/xbatch/<shape>`` family is the acceptance series
-    (≥ 1.3× on medium; the CI smoke floor asserts 1.1 for noise).
-    """
-    if not batchdual.HAVE_NUMPY:
-        return {}
-    import random
-    from fractions import Fraction
-
-    from repro.algos.batch_api import BatchItem, solve_batch
-
-    def zipf_classes(seed: int, c: int) -> Instance:
-        rng = random.Random(seed)
-        classes = []
-        for i in range(c):
-            njobs = max(1, int(6 / (1 + i % 11)))  # zipf-ish class sizes
-            classes.append(
-                (rng.randint(0, 30), [rng.randint(1, 20) for _ in range(njobs)])
-            )
-        return Instance.build(rng.randint(max(2, c // 2), c), classes)
-
-    def microbatch(shape: str) -> list:
-        variants = (Variant.SPLITTABLE, Variant.NONPREEMPTIVE, Variant.PREEMPTIVE)
-        items = []
-        for i in range(16):  # the service's default max_batch
-            if shape == "medium":
-                inst = uniform_instance(
-                    m=300 - 2 * i, c=300, n_per_class=2, seed=800 + i, tmax=20
-                )
-            elif shape == "zipf":
-                inst = zipf_classes(860 + i, 250)
-            else:  # wide
-                inst = uniform_instance(
-                    m=400 - 2 * i, c=400, n_per_class=2, seed=880 + i, tmax=20
-                )
-            items.append(
-                BatchItem(
-                    instance=inst,
-                    variant=variants[i % 3],
-                    algorithm="eps",
-                    eps=Fraction(1, 1000),
-                    schedules=False,
-                )
-            )
-        return items
-
-    out: dict[str, float] = {}
-    for shape in ("medium", "zipf", "wide"):
-        items = microbatch(shape)
-        for xb in (False, True):  # warm the shared instance caches
-            solve_batch(items, xbatch=xb, use_grid=False)
-        seq = best_of(
-            lambda: solve_batch(items, xbatch=False, use_grid=False), reps
-        )
-        fused = best_of(
-            lambda: solve_batch(items, xbatch=True, use_grid=False), reps
-        )
-        out[f"xbatch/{shape}/seq"] = seq
-        out[f"xbatch/{shape}/fused"] = fused
-        out[f"speedup/xbatch/{shape}"] = seq / fused
-    return out
-
-
 def bench_obs(reps: int, shapes: tuple[str, ...]) -> dict[str, float]:
     """Tracing overhead: warm bounds-only solves, disarmed vs armed (PR 10).
 
     The obs contract is "near-zero cost disarmed, cheap armed": every
     seam (probe counting in ``drive_plan``, memo hit/call, dispatch
-    decisions, xbatch rounds, ItemStore emits) is one thread-local read
+    decisions, ItemStore emits) is one thread-local read
     plus a ``None`` check when no :class:`~repro.obs.trace.TraceScope`
     is armed, and one dict bump when one is.  This family puts a number
     on both sides: the same warm bounds-only solve (the plan tier's
@@ -534,10 +400,10 @@ def bench_obs(reps: int, shapes: tuple[str, ...]) -> dict[str, float]:
             instance=inst, variant=Variant.NONPREEMPTIVE,
             algorithm="three_halves", schedules=False,
         )
-        solve_batch([item], use_grid=False)  # warm the shared caches
+        solve_batch([item])  # warm the shared caches
 
         def run_one(item=item):
-            solve_batch([item], use_grid=False)
+            solve_batch([item])
 
         # Best-of-passes on the *ratio*: the claim is an upper bound on
         # armed overhead, and noise only ever inflates the apparent
@@ -626,10 +492,6 @@ def run(fixtures: dict, reps: int, plans_only: bool = False) -> dict[str, float]
             record(name, value)
         for name, value in bench_shortcut(inst, fixture_name, reps).items():
             record(name, value)
-    for name, value in bench_grid_nonp(max(reps, 3)).items():
-        record(name, value)
-    for name, value in bench_xbatch(max(reps, 5)).items():
-        record(name, value)
     obs_shapes = tuple(k for k in fixtures if k in ("medium", "wide")) or ("medium",)
     for name, value in bench_obs(max(reps, 21), obs_shapes).items():
         record(name, value)

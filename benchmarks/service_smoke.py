@@ -31,12 +31,6 @@ the server always exits cleanly.
 shard backend instead of worker threads; the assertions are identical
 (the two backends are bit-compatible by contract).
 
-``--xbatch`` boots the service with the cross-instance fused dual-test
-path (``--xbatch`` on the server command line) in whichever mode is
-selected — including chaos, so the fault presets also exercise the
-lockstep coordinator.  Every assertion is unchanged: the fused path is
-bit-identical by contract, so the same reference answers must come back.
-
 Used by CI on both dependency footprints (numpy and minimal — the
 service must behave identically on the scalar tier), in both modes and
 with both backends.
@@ -151,7 +145,7 @@ def check_metrics_replies(json_reply: dict, prom_reply: dict,
     assert 'repro_stage_seconds_count{stage="solve"}' in text
 
 
-def smoke(workers: str = "thread", xbatch: bool = False) -> int:
+def smoke(workers: str = "thread") -> int:
     requests = build_requests()
     lines = [json.dumps(o) for o in requests]
     lines.append(json.dumps({"id": "stats", "op": "stats"}))
@@ -164,8 +158,7 @@ def smoke(workers: str = "thread", xbatch: bool = False) -> int:
             sys.executable, "-m", "repro.service",
             "--shards", "4", "--max-instances", "1",
             "--workers", workers,
-        ]
-        + (["--xbatch"] if xbatch else []),
+        ],
         input="\n".join(lines) + "\n",
         capture_output=True, text=True, env=ENV, timeout=600,
     )
@@ -210,9 +203,8 @@ def smoke(workers: str = "thread", xbatch: bool = False) -> int:
     if maxrss is not None:
         assert maxrss < MAX_RSS_KIB, f"service RSS {maxrss} KiB over {MAX_RSS_KIB} KiB"
     assert stats["workers"] == workers
-    mode = f"{workers}+xbatch" if xbatch else workers
     print(
-        f"service smoke ok [{mode}]: {len(requests)} requests "
+        f"service smoke ok [{workers}]: {len(requests)} requests "
         f"({solves} schedules, {bounds} bounds) bit-identical; peak warm "
         f"{stats['peak_instances']}/{stats['max_instances']}, "
         f"{stats['evictions']} evictions, batches {stats['batches']}, "
@@ -292,8 +284,7 @@ def reconcile(stats: dict, outcomes: list[str]) -> None:
 
 def run_stdio_scenario(name: str, expect_codes: set[str],
                        timeout_ms: int | None = None,
-                       workers: str = "thread",
-                       xbatch: bool = False) -> str:
+                       workers: str = "thread") -> str:
     plan = FaultPlan.preset(name)
     objs = chaos_requests(timeout_ms)
     lines = [json.dumps(o) for o in objs]
@@ -305,8 +296,7 @@ def run_stdio_scenario(name: str, expect_codes: set[str],
             "--shards", "1", "--max-batch", "2",
             "--workers", workers,
             "--faults", json.dumps(plan.to_obj()),
-        ]
-        + (["--xbatch"] if xbatch else []),
+        ],
         input="\n".join(lines) + "\n",
         capture_output=True, text=True, env=ENV, timeout=CHAOS_WALL_S,
     )
@@ -334,7 +324,7 @@ def run_stdio_scenario(name: str, expect_codes: set[str],
     )
 
 
-def run_drop_scenario(workers: str = "thread", xbatch: bool = False) -> str:
+def run_drop_scenario(workers: str = "thread") -> str:
     """Client vanishes mid-burst; the server must shrug and keep serving."""
     plan = FaultPlan.preset("drop")
     drop_after = plan.drop_connection_after()
@@ -345,8 +335,7 @@ def run_drop_scenario(workers: str = "thread", xbatch: bool = False) -> str:
             sys.executable, "-m", "repro.service",
             "--tcp", "127.0.0.1:0", "--shards", "1",
             "--workers", workers,
-        ]
-        + (["--xbatch"] if xbatch else []),
+        ],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=ENV,
     )
     try:
@@ -402,36 +391,33 @@ def run_drop_scenario(workers: str = "thread", xbatch: bool = False) -> str:
             proc.wait()
 
 
-def chaos(workers: str = "thread", xbatch: bool = False) -> int:
+def chaos(workers: str = "thread") -> int:
     summaries = [
-        run_stdio_scenario("kill", {"internal"}, workers=workers,
-                           xbatch=xbatch),
+        run_stdio_scenario("kill", {"internal"}, workers=workers),
         # 100 ms budget vs two injected 250 ms stalls on one worker:
         # the stalled solves and everything queued behind them time out.
         run_stdio_scenario("delay", {"timeout"}, timeout_ms=100,
-                           workers=workers, xbatch=xbatch),
-        run_stdio_scenario("raise", {"internal"}, workers=workers,
-                           xbatch=xbatch),
+                           workers=workers),
+        run_stdio_scenario("raise", {"internal"}, workers=workers),
         # A non-cooperative 1 s busy wedge against 600 ms budgets (long
         # enough to survive a process-backend child spawn, short enough
         # to die inside the wedge): threads surface the timeouts once the
         # wedge ends; processes hard-kill the wedged child at deadline +
         # grace and restart it.
         run_stdio_scenario("wedge", {"timeout"}, timeout_ms=600,
-                           workers=workers, xbatch=xbatch),
-        run_drop_scenario(workers=workers, xbatch=xbatch),
+                           workers=workers),
+        run_drop_scenario(workers=workers),
     ]
     if workers == "process":
         # Mid-batch SIGKILL is process-specific: a thread backend has no
         # child to kill, so the fault would never fire there.
         summaries.append(
             run_stdio_scenario("sigkill", {"internal", "timeout"},
-                               workers=workers, xbatch=xbatch)
+                               workers=workers)
         )
-    mode = f"{workers}+xbatch" if xbatch else workers
     for line in summaries:
         print(f"chaos {line}")
-    print(f"service chaos ok [{mode}]: {len(summaries)} scenarios, "
+    print(f"service chaos ok [{workers}]: {len(summaries)} scenarios, "
           f"every response bit-identical or structured")
     return 0
 
@@ -446,15 +432,10 @@ def main(argv: list[str] | None = None) -> int:
         "--workers", choices=["thread", "process"], default="thread",
         help="shard worker backend to smoke (default thread)",
     )
-    parser.add_argument(
-        "--xbatch", action="store_true",
-        help="boot the service with the fused cross-instance dual-test "
-             "path (same assertions: fused answers are bit-identical)",
-    )
     args = parser.parse_args(argv)
     if args.faults:
-        return chaos(args.workers, xbatch=args.xbatch)
-    return smoke(args.workers, xbatch=args.xbatch)
+        return chaos(args.workers)
+    return smoke(args.workers)
 
 
 if __name__ == "__main__":

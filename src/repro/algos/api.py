@@ -36,6 +36,15 @@ from .twoapprox import two_approx
 Algorithm = Literal["two", "eps", "three_halves"]
 Kernel = Literal["fast", "fraction"]
 
+#: ``(kind, mode)`` probe-counter labels of each variant's dual test, as
+#: the ε-search probes it through :func:`_dual_for` (the preemptive
+#: accept runs the Theorem-5 test in its default ``alpha`` mode).
+PROBE_LABELS: dict[Variant, tuple[str, str]] = {
+    Variant.SPLITTABLE: ("split", ""),
+    Variant.PREEMPTIVE: ("pmtn", "alpha"),
+    Variant.NONPREEMPTIVE: ("nonp", ""),
+}
+
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -145,7 +154,10 @@ def solve(
 
     if algorithm == "eps":
         accept, build = _dual_for(instance, variant, kernel)
-        sr = binary_search_dual(instance, variant, accept, build, eps)
+        kind, mode = PROBE_LABELS[variant]
+        sr = binary_search_dual(
+            instance, variant, accept, build, eps, kind=kind, mode=mode
+        )
         return SolveResult(
             schedule=sr.schedule, variant=variant, algorithm="eps",
             T=sr.T, ratio_bound=sr.ratio_bound,

@@ -19,9 +19,10 @@ This module is the façade that exploits the sharing:
 * :func:`solve_many` solves a stream of instances, transparently sharing
   caches between instances with equal ``(setups, jobs)``.
 * Both offer ``schedules=False``: the dual searches still resolve the
-  certified makespan ``T`` with its lower-bound certificate — through
-  the batched grid kernels of :mod:`repro.core.batchdual` when numpy is
-  available — but no schedule is materialized.  Sweep consumers that
+  certified makespan ``T`` with its lower-bound certificate — the
+  split/pmtn flip searches through the batched grid kernels of
+  :mod:`repro.core.batchdual` where :data:`GRID_POLICY` picks them — but
+  no schedule is materialized.  Sweep consumers that
   only need the ``T*``/bound curve (capacity planning: "how many
   machines until the proven bound drops below X?") skip the dominant
   construction cost entirely; :class:`SweepPoint` carries the same
@@ -40,23 +41,16 @@ from typing import Callable, Iterable, MutableMapping, Optional, Sequence, Union
 
 from ..core import batchdual
 from ..core.bounds import Variant, lower_bound, setup_plus_tmax, t_min
-from ..core.cancel import CancelToken, SolveCancelled, cancel_scope
+from ..core.cancel import CancelToken, cancel_scope
 from ..core.fastnum import validate_kernel
 from ..core.instance import Instance
-from ..core.numeric import Time, fast_fraction
+from ..core.numeric import Time
 from ..obs.trace import count as obs_count
-from .api import Algorithm, Kernel, SolveResult, solve
-from .jumping_pmtn import find_flip_pmtn, flip_plan_pmtn
-from .jumping_split import find_flip_splittable, flip_plan_splittable
-from .nonpreemptive import nonp_dual_schedule, three_halves_nonpreemptive
-from .pmtn_general import pmtn_dual_schedule
-from .search import (
-    GRID_BLOCK,
-    binary_search_dual,
-    eps_probe_plan,
-    integer_probe_plan,
-)
-from .splittable import split_dual_schedule
+from .api import PROBE_LABELS, Algorithm, Kernel, SolveResult, _dual_for, solve
+from .jumping_pmtn import find_flip_pmtn
+from .jumping_split import find_flip_splittable
+from .nonpreemptive import three_halves_nonpreemptive
+from .search import GRID_BLOCK, binary_search_dual
 
 __all__ = ["BatchItem", "SweepPoint", "solve_batch", "solve_many", "sweep_machines"]
 
@@ -158,9 +152,13 @@ def _bounds_point(
     algorithm: Algorithm,
     eps: Fraction,
     kernel: Kernel,
-    use_grid: bool,
+    grid: bool,
 ) -> SweepPoint:
-    """One bounds-only solve: search, certify, skip the construction."""
+    """One bounds-only solve: search, certify, skip the construction.
+
+    ``grid`` (the :func:`_resolve_use_grid` verdict) only reaches the
+    split/pmtn flip searches; every other search probes scalar.
+    """
     trivial = _trivial_point(instance, variant)
     if trivial is not None:
         return trivial
@@ -170,21 +168,12 @@ def _bounds_point(
     m = instance.m
 
     if algorithm == "eps":
-        from .api import _dual_for
-
         # Same accept predicate solve(..., "eps") wires up (build discarded:
         # bounds mode never constructs).
         accept, _ = _dual_for(instance, variant, kernel)
-        grid = None
-        if fast and use_grid:
-            kind = {
-                Variant.SPLITTABLE: "split",
-                Variant.PREEMPTIVE: "pmtn",
-                Variant.NONPREEMPTIVE: "nonp",
-            }[variant]
-            grid = batchdual.grid_accept_fn(ctx, kind, mode="alpha")
+        kind, mode = PROBE_LABELS[variant]
         sr = binary_search_dual(
-            instance, variant, accept, build=None, eps=eps, grid_accept=grid
+            instance, variant, accept, build=None, eps=eps, kind=kind, mode=mode
         )
         return SweepPoint(
             m=m, variant=variant, algorithm="eps", T=sr.T,
@@ -201,7 +190,7 @@ def _bounds_point(
 
     if variant is Variant.SPLITTABLE:
         T_star, calls = find_flip_splittable(
-            instance, kernel=kernel, ctx=ctx, use_grid=use_grid and fast
+            instance, kernel=kernel, ctx=ctx, use_grid=grid
         )
         return SweepPoint(
             m=m, variant=variant, algorithm="three_halves", T=T_star,
@@ -210,7 +199,7 @@ def _bounds_point(
         )
     if variant is Variant.PREEMPTIVE:
         T_star, T_witness, calls = find_flip_pmtn(
-            instance, kernel=kernel, ctx=ctx, use_grid=use_grid and fast
+            instance, kernel=kernel, ctx=ctx, use_grid=grid
         )
         ratio = (
             Fraction(3, 2) * T_witness / T_star if T_star else Fraction(3, 2)
@@ -221,8 +210,7 @@ def _bounds_point(
             accept_calls=calls,
         )
     sr = three_halves_nonpreemptive(
-        instance, kernel=kernel, ctx=ctx, use_grid=use_grid and fast,
-        build_schedule=False,
+        instance, kernel=kernel, ctx=ctx, build_schedule=False
     )
     return SweepPoint(
         m=m, variant=variant, algorithm="three_halves", T=sr.T,
@@ -232,100 +220,56 @@ def _bounds_point(
     )
 
 
-#: Probe kind of each variant's dual test in the fused/grid kernels.
-_PROBE_KIND = {
-    Variant.SPLITTABLE: "split",
-    Variant.PREEMPTIVE: "pmtn",
-    Variant.NONPREEMPTIVE: "nonp",
-}
-
-#: Shape-aware grid auto-policy: per search shape a ``(block_min,
-#: work_max)`` window — the grid engages only when the candidate-block
-#: size reaches ``block_min`` (vectorization width to amortize the numpy
-#: call overhead) *and* the product ``block × c`` stays under
-#: ``work_max`` (every grid candidate touches all ``c`` classes, while a
-#: scalar probe bisects sorted prefix views in O(log c); the blow-up
-#: must stay bounded).  Calibrated by Experiment S3 (``python -m
-#: repro.experiments gridcross``), re-run for PR 9 on the scaled-integer
+#: Shape-aware grid auto-policy for the Class Jumping flip searches: per
+#: probe kind a ``(block_min, work_max)`` window — the grid engages only
+#: when the candidate-block size reaches ``block_min`` (vectorization
+#: width to amortize the numpy call overhead) *and* the product ``block
+#: × c`` stays under ``work_max`` (every grid candidate touches all
+#: ``c`` classes, while a scalar probe bisects sorted prefix views in
+#: O(log c); the blow-up must stay bounded).  Calibrated by Experiment
+#: S3 (``python -m repro.experiments gridcross``) on the scaled-integer
 #: plans:
 #:
 #: * ``pmtn`` flip search — grid wins 1.06–1.15× for block×c in
 #:   ≈ 10k–26k, parity at 51k, loses below block ≈ 64;
-#: * ``split`` flip search — parity (0.91–1.01×) across the same band;
-#:   kept engaged there so the shared-candidate batched calls stay
-#:   exercised at no measured cost;
-#: * ``eps`` — the dyadic ε-grid (129 candidates for ε = 1/100) now
-#:   loses at every measured class count (0.01–0.24×): the pair-native
-#:   scalar bisection needs only ~7 probes, so the grid's 129 full-width
-#:   evaluations never amortize.  Never auto-engaged;
-#: * ``nonp`` — PR 5's ``class_tmax`` short-circuit keeps the scalar
-#:   probes ahead everywhere re-measured (up to c = 3200).  Never
-#:   auto-engaged.
+#: * ``split`` flip search — parity (0.91–1.01×) in the S3 cell, but on
+#:   the wire benchmark's ``bounds-near`` traffic (c = 300, where only
+#:   this row engages) turning the flip-search grid off cost ≈ 14% of
+#:   end-to-end throughput on a 2-vCPU host.
 #:
-#: Forced tiers stay available via ``use_grid=True`` and their
-#: bit-identity stays tested regardless of the policy.
+#: The ε-bisection and the Theorem-8 integer search always probe scalar:
+#: their pair-native scalar probes beat a grid at every measured shape.
 GRID_POLICY: dict[str, tuple[int, int]] = {
     "split": (64, 64_000),
     "pmtn": (64, 32_000),
-    "nonp": (0, 0),
-    "eps": (0, 0),
 }
 
 
-def _grid_block_estimate(algorithm: Algorithm, eps: Optional[Fraction], c: int) -> int:
-    """Candidates per batched grid call for this search shape.
-
-    The ε-search probes one dyadic grid of ``2^r + 1`` points with
-    ``2^r ≥ 1/ε`` (:func:`~repro.algos.search.eps_probe_plan`); the flip
-    searches narrow candidate lists of at most ``c + 2`` points in
-    blocks capped at :data:`~repro.algos.search.GRID_BLOCK` interior
-    candidates (:func:`~repro.algos.search.right_interval_plan`), as
-    does the Theorem-8 integer search.
-    """
-    if algorithm == "eps" and eps is not None and eps > 0:
-        r = 0
-        while (1 << r) * eps.numerator < eps.denominator:
-            r += 1
-        return (1 << r) + 1
-    return min(c + 2, GRID_BLOCK)
-
-
 def _resolve_use_grid(
-    use_grid: Optional[bool],
     kernel: Kernel,
     variant: Variant,
     c: int,
     algorithm: Algorithm = "three_halves",
-    eps: Optional[Fraction] = None,
 ) -> bool:
-    """Shape-aware auto-policy for the vectorized grid evaluators.
+    """Does this bounds-only search run on the vectorized grid evaluators?
 
-    A grid round evaluates its whole candidate block at once where the
+    A grid round evaluates a whole candidate block at once where the
     scalar search would bisect it with ~log₂(block) probes, and every
     grid candidate costs kernel work linear in the class count — the
-    numpy constant-factor win has to amortize that blow-up.  ``None``
-    therefore engages a kind's grid only while the product of the
-    search shape's candidate-block size (:func:`_grid_block_estimate`)
-    and the class count stays under the kind's measured ceiling
-    (:data:`GRID_POLICY`).  ``True`` forces grids and requires
-    numpy (fails loudly rather than silently degrading to
-    candidate-by-candidate scalar loops); ``False`` forces scalar
-    probing.
+    numpy constant-factor win has to amortize that blow-up.  Only the
+    split/pmtn flip searches have a :data:`GRID_POLICY` row; they engage
+    while the product of the candidate-block size (at most ``c + 2``
+    jump points, capped at :data:`~repro.algos.search.GRID_BLOCK`) and
+    the class count stays inside it.  Needs numpy and the fast kernel.
     """
-    if use_grid is None:
-        if not (batchdual.HAVE_NUMPY and kernel == "fast"):
-            obs_count("dispatch.scalar")
-            return False
-        shape = "eps" if algorithm == "eps" else _PROBE_KIND[variant]
-        block_min, work_max = GRID_POLICY[shape]
-        block = _grid_block_estimate(algorithm, eps, c)
+    grid = False
+    policy = GRID_POLICY.get(PROBE_LABELS[variant][0]) if algorithm != "eps" else None
+    if policy is not None and batchdual.HAVE_NUMPY and kernel == "fast":
+        block_min, work_max = policy
+        block = min(c + 2, GRID_BLOCK)
         grid = block >= block_min and block * c <= work_max
-        obs_count("dispatch.grid" if grid else "dispatch.scalar")
-        return grid
-    if use_grid and not batchdual.HAVE_NUMPY:
-        raise RuntimeError("use_grid=True but numpy is not installed")
-    obs_count("dispatch.grid" if use_grid else "dispatch.scalar")
-    return bool(use_grid)
+    obs_count("dispatch.grid" if grid else "dispatch.scalar")
+    return grid
 
 
 def _grid_safe_for(ctx, instance: Instance, variant: Variant) -> bool:
@@ -333,13 +277,13 @@ def _grid_safe_for(ctx, instance: Instance, variant: Variant) -> bool:
 
     Batched grid calls stay *correct* on overflow-prone instances (each
     call falls back to the scalar kernel), but a fallen-back grid call
-    evaluates every candidate of its block — e.g. the full dyadic ε-grid
-    — sequentially, which is slower than the plain bisection it
-    replaced.  This probes :func:`batchdual._grid_is_safe` once per
-    sweep point with a representative candidate envelope (the search
-    window ``[T_min, 2·T_min]`` at denominators up to ``1024·2m`` — a
-    superset of the dyadic refinements and class-jump denominators seen
-    in practice) and keeps grids off when it does not clear.
+    evaluates every candidate of its block sequentially, which is slower
+    than the plain bisection it replaced.  This probes
+    :func:`batchdual._grid_is_safe` once per sweep point with a
+    representative candidate envelope (the search window ``[T_min,
+    2·T_min]`` at denominators up to ``1024·2m`` — a superset of the
+    class-jump denominators seen in practice) and keeps grids off when
+    it does not clear.
     """
     tmin = t_min(instance, variant)
     max_td = tmin.denominator * 1024 * max(1, 2 * instance.m)
@@ -356,7 +300,6 @@ def sweep_machines(
     *,
     kernel: Kernel = "fast",
     schedules: bool = True,
-    use_grid: Optional[bool] = None,
 ) -> Union[list[SolveResult], list[SweepPoint]]:
     """Solve ``instance`` across machine counts ``ms``, sharing every cache.
 
@@ -369,18 +312,14 @@ def sweep_machines(
     ``schedules=True`` returns full :class:`SolveResult` objects,
     bit-identical to ``[solve(instance.with_machines(m), ...) for m in
     ms]``.  ``schedules=False`` returns :class:`SweepPoint` bounds
-    (same certified ``T``/ratio/lower bound, no schedule) and lets the
-    searches run on the vectorized grid kernel — the fast path for
-    ``T*``-curve workloads.
-
-    ``use_grid`` applies to the bounds-only searches: ``None`` (default)
-    engages the numpy grid evaluators when numpy is importable, the
-    kernel is ``"fast"`` and the instance clears the int64 overflow
-    probe; ``False`` forces scalar probing; ``True`` requires numpy.
-    Full-schedule sweeps always use the scalar searches — explicitly
-    forcing ``use_grid=True`` there raises rather than silently
-    degrading.  (Since PR 4 even the non-preemptive construction is
-    sweep-friendly: Algorithm 6 runs object-free on the index-based
+    (same certified ``T``/ratio/lower bound, no schedule) — the fast
+    path for ``T*``-curve workloads.  Bounds-only split/pmtn flip
+    searches run on the vectorized grid kernel where
+    :func:`_resolve_use_grid` picks it (numpy importable, ``"fast"``
+    kernel, a :data:`GRID_POLICY` shape) and the instance clears the
+    int64 overflow probe; every other search probes scalar.  (Even the
+    non-preemptive construction is sweep-friendly: Algorithm 6 runs
+    object-free on the index-based
     :class:`~repro.core.itemstore.ItemStore`, reuses the shared
     per-class prefix/Q-block caches across points, skips the already-
     decided Theorem-9 re-test, and hands schedules over lazily — the
@@ -389,19 +328,14 @@ def sweep_machines(
     """
     validate_kernel(kernel)
     variant = _validate_request(variant, algorithm, schedules)
-    if schedules and use_grid:
-        raise ValueError(
-            "use_grid=True applies to bounds-only sweeps (schedules=False); "
-            "full-schedule sweeps use the scalar searches"
-        )
     grid = (
         False if schedules
-        else _resolve_use_grid(use_grid, kernel, variant, instance.c, algorithm, eps)
+        else _resolve_use_grid(kernel, variant, instance.c, algorithm)
     )
     if kernel == "fast":
         ctx = instance.fast_ctx()  # ensure the shared context exists pre-sweep
-        if grid and use_grid is None and not _grid_safe_for(ctx, instance, variant):
-            grid = False  # auto policy: overflow-prone grids would fall back per call
+        if grid and not _grid_safe_for(ctx, instance, variant):
+            grid = False  # overflow-prone grids would fall back per call
     out: list = []
     for m in ms:
         inst_m = instance.with_machines(m, share_caches=True)
@@ -422,7 +356,6 @@ def solve_many(
     *,
     kernel: Kernel = "fast",
     schedules: bool = True,
-    use_grid: Optional[bool] = None,
 ) -> Union[list[SolveResult], list[SweepPoint]]:
     """Solve a stream of instances, sharing caches between equal inputs.
 
@@ -435,11 +368,6 @@ def solve_many(
     """
     validate_kernel(kernel)
     variant = _validate_request(variant, algorithm, schedules)
-    if schedules and use_grid:
-        raise ValueError(
-            "use_grid=True applies to bounds-only solves (schedules=False); "
-            "full-schedule solves use the scalar searches"
-        )
     reps: dict[tuple, Instance] = {}
     grid_by_key: dict[tuple, bool] = {}  # overflow probe is per input, not sticky
     out: list = []
@@ -450,12 +378,12 @@ def solve_many(
             reps[key] = inst
             grid = (
                 False if schedules
-                else _resolve_use_grid(use_grid, kernel, variant, inst.c, algorithm, eps)
+                else _resolve_use_grid(kernel, variant, inst.c, algorithm)
             )
             if kernel == "fast":
                 ctx = inst.fast_ctx()
-                if grid and use_grid is None and not _grid_safe_for(ctx, inst, variant):
-                    grid = False  # auto policy, see sweep_machines
+                if grid and not _grid_safe_for(ctx, inst, variant):
+                    grid = False  # see sweep_machines
             grid_by_key[key] = grid
             shared = inst
         else:
@@ -518,21 +446,18 @@ def _solve_item(
     variant: Variant,
     item: BatchItem,
     kernel: Kernel,
-    use_grid: Optional[bool],
 ):
-    """One item of :func:`solve_batch` on the sequential per-item path."""
+    """One item of :func:`solve_batch`."""
     if item.ms is not None:
         return sweep_machines(
             shared, item.ms, variant, item.algorithm, item.eps,
-            kernel=kernel, schedules=item.schedules, use_grid=use_grid,
+            kernel=kernel, schedules=item.schedules,
         )
     if item.schedules:
         return solve(shared, variant, item.algorithm, item.eps, kernel=kernel)
-    grid = _resolve_use_grid(
-        use_grid, kernel, variant, shared.c, item.algorithm, item.eps
-    )
-    if grid and use_grid is None and not _grid_safe_cached(shared, variant):
-        grid = False  # auto policy, see sweep_machines
+    grid = _resolve_use_grid(kernel, variant, shared.c, item.algorithm)
+    if grid and not _grid_safe_cached(shared, variant):
+        grid = False  # see sweep_machines
     return _bounds_point(shared, variant, item.algorithm, item.eps, kernel, grid)
 
 
@@ -541,10 +466,8 @@ def solve_batch(
     *,
     kernel: Kernel = "fast",
     reps: Optional[MutableMapping[str, Instance]] = None,
-    use_grid: Optional[bool] = None,
     cancels: Optional[Sequence[Optional[CancelToken]]] = None,
     before_solve: Optional[Callable[[BatchItem], None]] = None,
-    xbatch: bool = False,
 ) -> list:
     """Solve one heterogeneous micro-batch, coalescing equal instances.
 
@@ -578,30 +501,12 @@ def solve_batch(
     instrumentation hook invoked with each item just before its solve —
     the service's fault-injection harness hangs delays/raises off it;
     production callers leave it ``None``.
-
-    ``xbatch=True`` solves the batch through the **cross-instance
-    lockstep coordinator**: every eligible item's bracket search runs as
-    a probe plan (:mod:`repro.algos.search`), the coordinator advances
-    all plans one round at a time, and each round's same-kind probes —
-    across *different* instances — fuse into one padded
-    :class:`repro.core.xbatch.BatchDualContext` kernel call.  Results,
-    probe counts, and raised errors are bit-identical to ``xbatch=False``
-    (each plan is the very generator the sequential path drives, and the
-    fused kernels are differentially pinned against the scalar ones);
-    items the coordinator cannot fuse — ``ms`` sweeps, ``"two"``, the
-    trivial closed forms — fall back to the per-item path inside the
-    same call, as does the whole batch on the fraction kernel.
     """
     validate_kernel(kernel)
     prepared = [
         (item, _validate_request(item.variant, item.algorithm, item.schedules))
         for item in items
     ]
-    if use_grid and any(item.schedules for item in items):
-        raise ValueError(
-            "use_grid=True applies to bounds-only items (schedules=False); "
-            "full-schedule items use the scalar searches"
-        )
     if cancels is not None and len(cancels) != len(items):
         raise ValueError(
             f"cancels must align with items: {len(cancels)} tokens "
@@ -609,10 +514,6 @@ def solve_batch(
         )
     if reps is None:
         reps = {}
-    if xbatch and kernel == "fast":
-        return _solve_batch_lockstep(
-            prepared, kernel, reps, use_grid, cancels, before_solve
-        )
     out: list = []
     for idx, (item, variant) in enumerate(prepared):
         token = cancels[idx] if cancels is not None else None
@@ -631,291 +532,5 @@ def solve_batch(
                 shared = inst
             else:
                 shared = rep.with_machines(inst.m, share_caches=True)
-            out.append(_solve_item(shared, variant, item, kernel, use_grid))
-    return out
-
-
-# --------------------------------------------------------------------------- #
-# cross-instance lockstep coordinator (xbatch=True)
-# --------------------------------------------------------------------------- #
-
-@dataclass
-class _LockstepRun:
-    """One item's in-flight probe plan inside the coordinator."""
-
-    idx: int
-    plan: object                     # probe-plan generator (see algos.search)
-    token: Optional[CancelToken]
-    member: int                      # row index into the BatchDualContext
-    m: int                           # machine count (pmtn_base accept formula)
-    finish: Callable                 # StopIteration.value -> output object
-    response: object = None          # verdicts to send into the next round
-
-
-def _lockstep_prepare(
-    shared: Instance,
-    variant: Variant,
-    item: BatchItem,
-    kernel: Kernel,
-    use_grid: Optional[bool],
-):
-    """``(plan, finish)`` for a fusable item, ``None`` for the fallbacks.
-
-    The plan is the identical generator the sequential entry point for
-    this item drives (:func:`~repro.algos.search.eps_probe_plan` /
-    :func:`~repro.algos.search.integer_probe_plan` / the flip plans), so
-    the item's probe sequence under lockstep equals its solo sequence by
-    construction.  ``finish`` runs the per-item construction and mirrors
-    the :class:`SolveResult` / :class:`SweepPoint` assembly of
-    ``solve()`` / :func:`_bounds_point` field for field.
-    """
-    if item.ms is not None or item.algorithm == "two":
-        return None
-    if shared.m == 1 or (variant is not Variant.SPLITTABLE and shared.m >= shared.n):
-        return None  # trivial closed forms: no probes to fuse
-    if item.schedules:
-        grid = False  # full-schedule solves always use the scalar searches
-    else:
-        grid = _resolve_use_grid(
-            use_grid, kernel, variant, shared.c, item.algorithm, item.eps
-        )
-        if grid and use_grid is None and not _grid_safe_cached(shared, variant):
-            grid = False  # auto policy, see sweep_machines
-    kind = _PROBE_KIND[variant]
-    lb = lower_bound(shared, variant)
-    m = shared.m
-
-    if item.algorithm == "eps":
-        if item.eps <= 0:
-            raise ValueError("eps must be positive")
-        mode = "alpha" if variant is Variant.PREEMPTIVE else ""
-        plan = eps_probe_plan(t_min(shared, variant), item.eps, kind, mode, grid=grid)
-
-        def finish(res):
-            T, lo, calls = res
-            T, lo = fast_fraction(*T), fast_fraction(*lo)
-            ratio = Fraction(3, 2) * T / lo
-            if item.schedules:
-                return SolveResult(
-                    schedule=_build_for(shared, variant, kernel, T),
-                    variant=variant, algorithm="eps", T=T,
-                    ratio_bound=ratio, opt_lower_bound=max(lb, lo),
-                )
-            return SweepPoint(
-                m=m, variant=variant, algorithm="eps", T=T, ratio_bound=ratio,
-                opt_lower_bound=max(lb, lo), accept_calls=calls,
-            )
-
-        return plan, finish
-
-    if variant is Variant.SPLITTABLE:
-        plan = flip_plan_splittable(shared, grid=grid)
-
-        def finish(res):
-            T_star, calls = res
-            T_star = fast_fraction(*T_star)
-            if item.schedules:
-                return SolveResult(
-                    schedule=split_dual_schedule(shared, T_star, kernel=kernel),
-                    variant=variant, algorithm="three_halves", T=T_star,
-                    ratio_bound=Fraction(3, 2), opt_lower_bound=max(lb, T_star),
-                )
-            return SweepPoint(
-                m=m, variant=variant, algorithm="three_halves", T=T_star,
-                ratio_bound=Fraction(3, 2), opt_lower_bound=max(lb, T_star),
-                accept_calls=calls,
-            )
-
-        return plan, finish
-
-    if variant is Variant.PREEMPTIVE:
-        plan = flip_plan_pmtn(shared, grid=grid)
-
-        def finish(res):
-            T_star, T_witness, calls = res
-            T_star = fast_fraction(*T_star)
-            T_witness = fast_fraction(*T_witness)
-            ratio = (
-                Fraction(3, 2) * T_witness / T_star if T_star else Fraction(3, 2)
-            )
-            if item.schedules:
-                return SolveResult(
-                    schedule=pmtn_dual_schedule(
-                        shared, T_witness, mode="gamma", kernel=kernel
-                    ),
-                    variant=variant, algorithm="three_halves", T=T_witness,
-                    ratio_bound=ratio, opt_lower_bound=max(lb, T_star),
-                )
-            return SweepPoint(
-                m=m, variant=variant, algorithm="three_halves", T=T_witness,
-                ratio_bound=ratio, opt_lower_bound=max(lb, T_star),
-                accept_calls=calls,
-            )
-
-        return plan, finish
-
-    plan = integer_probe_plan(t_min(shared, variant), kind, grid=grid)
-
-    def finish(res):
-        T, calls = res
-        T = fast_fraction(*T)
-        if item.schedules:
-            return SolveResult(
-                schedule=nonp_dual_schedule(shared, T, kernel=kernel, pretested=True),
-                variant=variant, algorithm="three_halves", T=T,
-                ratio_bound=Fraction(3, 2), opt_lower_bound=max(lb, T),
-            )
-        return SweepPoint(
-            m=m, variant=variant, algorithm="three_halves", T=T,
-            ratio_bound=Fraction(3, 2), opt_lower_bound=max(lb, T),
-            accept_calls=calls,
-        )
-
-    return plan, finish
-
-
-def _build_for(shared: Instance, variant: Variant, kernel: Kernel, T: Time):
-    """The eps path's build hook (mirrors ``api._dual_for``'s builders)."""
-    if variant is Variant.SPLITTABLE:
-        return split_dual_schedule(shared, T, kernel=kernel)
-    if variant is Variant.PREEMPTIVE:
-        return pmtn_dual_schedule(shared, T, kernel=kernel)
-    return nonp_dual_schedule(shared, T, kernel=kernel)
-
-
-def _solve_batch_lockstep(
-    prepared: Sequence[tuple[BatchItem, Variant]],
-    kernel: Kernel,
-    reps: MutableMapping[str, Instance],
-    use_grid: Optional[bool],
-    cancels: Optional[Sequence[Optional[CancelToken]]],
-    before_solve: Optional[Callable[[BatchItem], None]],
-) -> list:
-    """Advance all items' probe plans in rounds, fusing each round's probes.
-
-    Contract notes (all pinned by ``tests/test_xbatch.py``):
-
-    * **Bit-identity** — each plan is the sequential path's own
-      generator and every fused verdict is bit-identical to the scalar
-      kernel, so outputs (including ``accept_calls``) match
-      ``xbatch=False`` exactly.
-    * **First-error** — the sequential loop raises the smallest-index
-      item's error and never starts later items.  Here the prelude stops
-      at the first failing item, earlier items still run to completion
-      (one of them may produce an even earlier error), and the
-      smallest-index error is raised at the end; plans past it are
-      abandoned unfinished.
-    * **Cancellation** — a token is polled exactly where the sequential
-      evaluators poll (once per "accept"/"accept_block" request; never
-      on "verdict" requests); a fired token removes only its own item
-      from the round, the rest of the fused batch continues untouched.
-    """
-    from ..core.xbatch import BatchDualContext
-
-    n = len(prepared)
-    out: list = [None] * n
-    errors: dict[int, Exception] = {}
-    xctx = BatchDualContext([])
-    runs: dict[int, _LockstepRun] = {}
-
-    # ---- prelude: admission + rep resolution + fallbacks, item order -- #
-    for idx, (item, variant) in enumerate(prepared):
-        token = cancels[idx] if cancels is not None else None
-        try:
-            with cancel_scope(token):
-                if before_solve is not None:
-                    before_solve(item)
-                if token is not None:
-                    token.check()
-                inst = item.instance
-                fp = inst.fingerprint()
-                rep = reps.get(fp)
-                if rep is None:
-                    reps[fp] = inst
-                    shared = inst
-                elif rep is inst:
-                    shared = inst
-                else:
-                    shared = rep.with_machines(inst.m, share_caches=True)
-                prep = _lockstep_prepare(shared, variant, item, kernel, use_grid)
-                if prep is None:
-                    obs_count("xbatch.straggler")
-                    out[idx] = _solve_item(shared, variant, item, kernel, use_grid)
-                else:
-                    plan, finish = prep
-                    runs[idx] = _LockstepRun(
-                        idx=idx, plan=plan, token=token,
-                        member=xctx.member_index(shared.fast_ctx()),
-                        m=shared.m, finish=finish,
-                    )
-        except Exception as exc:  # noqa: BLE001 - first-error contract
-            errors[idx] = exc
-            break  # later items never start, like the sequential loop
-
-    # ---- lockstep rounds ---------------------------------------------- #
-    while runs:
-        min_err = min(errors) if errors else None
-        pending: list[tuple[int, object]] = []
-        for idx in sorted(runs):
-            run = runs[idx]
-            if min_err is not None and idx > min_err:
-                # This item's result would be discarded by the raise below.
-                run.plan.close()
-                del runs[idx]
-                continue
-            try:
-                req = run.plan.send(run.response)
-            except StopIteration as stop:
-                del runs[idx]
-                try:
-                    with cancel_scope(run.token):
-                        out[idx] = run.finish(stop.value)
-                except Exception as exc:  # noqa: BLE001
-                    errors[idx] = exc
-                continue
-            except Exception as exc:  # noqa: BLE001
-                del runs[idx]
-                errors[idx] = exc
-                continue
-            run.response = None
-            pending.append((idx, req))
-
-        groups: dict[tuple[str, str], list] = {}
-        for idx, req in pending:
-            run = runs[idx]
-            if req.op in ("accept", "accept_block") and run.token is not None:
-                try:
-                    run.token.check()  # the sequential probe-boundary poll
-                except SolveCancelled as exc:
-                    run.plan.close()
-                    del runs[idx]
-                    errors[idx] = exc
-                    continue
-            groups.setdefault((req.kind, req.mode), []).append((idx, req))
-
-        if groups:
-            obs_count("xbatch.fused_rounds")
-        for (kind, mode), entries in groups.items():
-            rows = []
-            for idx, req in entries:
-                member = runs[idx].member
-                rows.extend((member, tn, td) for tn, td in req.times)
-            verdicts = xctx.evaluate(kind, mode, rows)
-            pos = 0
-            for idx, req in entries:
-                vs = verdicts[pos : pos + len(req.times)]
-                pos += len(req.times)
-                if req.op == "verdict":
-                    runs[idx].response = vs
-                elif kind == "pmtn_base":
-                    m = runs[idx].m
-                    runs[idx].response = [
-                        m * tn >= load * td and m >= m_prime
-                        for (tn, td), (load, m_prime) in zip(req.times, vs)
-                    ]
-                else:
-                    runs[idx].response = [v.accepted for v in vs]
-
-    if errors:
-        raise errors[min(errors)]
+            out.append(_solve_item(shared, variant, item, kernel))
     return out

@@ -550,12 +550,9 @@ def three_halves_preemptive(
     *,
     kernel: str = "fast",
     ctx: Optional[DualContext] = None,
-    use_grid: bool = False,
 ) -> PmtnJumpResult:
     """Theorem 6 — 3/2-approximation for ``P|pmtn,setup=s_i|Cmax``."""
-    T_star, T_witness, calls = find_flip_pmtn(
-        instance, kernel=kernel, ctx=ctx, use_grid=use_grid
-    )
+    T_star, T_witness, calls = find_flip_pmtn(instance, kernel=kernel, ctx=ctx)
     schedule = pmtn_dual_schedule(instance, T_witness, mode="gamma", kernel=kernel)
     return PmtnJumpResult(
         T_star=T_star, T_witness=T_witness, schedule=schedule, accept_calls=calls

@@ -23,9 +23,11 @@ below the returned value provably rejected; the returned value is therefore
 
 The probe sequence lives in :func:`flip_plan_splittable`, a resumable
 probe plan (see :mod:`repro.algos.search`): :func:`find_flip_splittable`
-drives it against the per-instance kernel, and the xbatch coordinator
-drives the *same* generator in lockstep with other items' searches —
-identical probes by construction.
+drives it through :func:`~repro.algos.search.drive_plan` against the
+per-instance evaluator (:func:`split_probe_evaluator`), whose fast and
+fraction branches answer the *same* probes — identical decisions by
+construction.  With ``use_grid`` the narrowing steps send whole
+candidate blocks to the vectorized split grid instead.
 
 The plan runs on the scaled-integer tier: candidates are normalized
 ``(num, den)`` pairs (canonical per rational, so every probe value, memo
@@ -84,12 +86,9 @@ def three_halves_splittable(
     *,
     kernel: str = "fast",
     ctx: Optional[DualContext] = None,
-    use_grid: bool = False,
 ) -> JumpSearchResult:
     """Theorem 3 — 3/2-approximation in ``O(n + c log(c+m))``."""
-    T_star, calls = find_flip_splittable(
-        instance, kernel=kernel, ctx=ctx, use_grid=use_grid
-    )
+    T_star, calls = find_flip_splittable(instance, kernel=kernel, ctx=ctx)
     schedule = split_dual_schedule(instance, T_star, kernel=kernel)
     return JumpSearchResult(T_star=T_star, schedule=schedule, accept_calls=calls)
 

@@ -27,12 +27,11 @@ results.
 
 Two batching hooks sit on top of that contract:
 
-* every search accepts an optional ``grid_accept`` evaluator (a
-  ``candidates -> [accepted]`` callable, usually
-  :func:`repro.core.batchdual.grid_accept_fn`).  Instead of ``O(log k)``
-  sequential probes, the search then evaluates whole candidate blocks —
-  the dyadic ε-grid in one call, integer/jump candidate lists in
-  ``O(log_B k)`` block calls — and locates the flip by scanning the
+* :func:`right_interval_plan` (the narrowing step of the Class Jumping
+  flip searches) has a grid mode: instead of ``O(log k)`` sequential
+  probes it evaluates whole candidate blocks — ``O(log_B k)`` block
+  calls, answered by the vectorized kernels of
+  :mod:`repro.core.batchdual` — and locates the flip by scanning the
   returned bits.  For the monotone accept predicates all searches here
   are built on, the result is identical to the sequential bisection.
 * :class:`MemoAccept` deduplicates repeated probes of the same ``T``
@@ -47,9 +46,9 @@ candidates travel as normalized ``(num, den)`` int pairs
 (:func:`repro.core.fastnum.norm_pair` — canonical per rational, so pair
 arithmetic reproduces the historic Fraction plans' probe values, memo
 keys and dedup bit-for-bit), and :class:`fractions.Fraction` objects are
-built only at the boundaries: the caller-supplied ``accept`` /
-``grid_accept`` callables (:func:`_black_box_evaluator`) and the
-returned :class:`SearchResult` fields.
+built only at the boundaries: the caller-supplied ``accept`` callable
+(:func:`_black_box_evaluator`) and the returned :class:`SearchResult`
+fields.
 
 Every probe loop additionally polls :func:`repro.core.cancel.
 check_cancelled` between dual tests: a solve running under a
@@ -97,21 +96,19 @@ _MISSING = object()
 
 
 # --------------------------------------------------------------------------- #
-# probe plans — resumable searches for the cross-instance coordinator
+# probe plans — resumable searches answered by one driver
 # --------------------------------------------------------------------------- #
 #
 # A *plan* is a generator that encodes one search's probe sequence: it
 # yields ProbeRequest values, receives the corresponding verdict list via
-# ``send``, and returns its result through StopIteration.  The sequential
-# entry points below (binary_search_dual, integer_search_dual,
+# ``send``, and returns its result through StopIteration.  The entry
+# points below (binary_search_dual, integer_search_dual,
 # right_interval_bisect — and the flip searches in jumping_split /
-# jumping_pmtn) drive these same plans against per-item evaluators, while
-# the xbatch coordinator (repro.algos.batch_api, xbatch=True) advances
-# many items' plans in lockstep rounds and fuses each round's requests
-# into one repro.core.xbatch kernel call.  Because both paths run the
-# identical generator, an item's probe sequence under lockstep equals its
-# solo sequence *by construction* — the bit-identity the differential
-# fuzz suite (tests/test_xbatch.py) pins.
+# jumping_pmtn) run their plans through the single driver drive_plan
+# against a per-search evaluator, so the plan owns the numbers and the
+# evaluator owns the kernel: the same plan yields the same probe stream
+# on the fast and the fraction kernel — the bit-identity
+# tests/test_plans.py pins.
 #
 # Division of labour: plans own probe *memoization* (only cache misses are
 # yielded — mirroring MemoAccept / wrap_grid) and the ``accept_calls``
@@ -124,16 +121,16 @@ _MISSING = object()
 class ProbeRequest(NamedTuple):
     """One batch of same-kind dual-test probes a plan needs answered.
 
-    ``op`` is ``"accept"`` (scalar probes of the memoized accept
-    predicate), ``"accept_block"`` (a grid-bisection candidate block), or
+    ``op`` is ``"accept"`` (scalar probes of the accept predicate),
+    ``"accept_block"`` (a flip search's grid-bisection block), or
     ``"verdict"`` (full dual verdicts — SplitVerdict / PmtnVerdict /
     ``(load, m')`` — for the constant-piece case analyses).  ``kind``
     names the dual test (``split`` / ``nonp`` / ``pmtn`` / ``pmtn_base``)
-    and ``mode`` the preemptive counting mode; sequential drivers that
-    already close over their kernel ignore both.  ``times`` holds the
-    probed candidates as normalized ``(num, den)`` pairs — the scaled-int
-    evaluators feed them to the kernels directly, the black-box boundary
-    rebuilds Fractions.  The response sent back into the plan must be a
+    and ``mode`` the preemptive counting mode; they label the probe
+    counters, and evaluators that already close over their kernel
+    ignore them.  ``times`` holds the probed candidates as normalized
+    ``(num, den)`` pairs — the scaled-int evaluators feed them to the
+    kernels directly, the black-box boundary rebuilds Fractions.  The response sent back into the plan must be a
     sequence aligned with ``times``.
     """
 
@@ -235,7 +232,7 @@ def right_interval_plan(
     return candidates[lo], candidates[hi]
 
 
-def eps_probe_plan(tmin: TimeLike, eps: Fraction, kind: str, mode: str, grid: bool):
+def eps_probe_plan(tmin: TimeLike, eps: Fraction, kind: str, mode: str):
     """Theorem 2's probe sequence; returns ``(T, certificate_lo, calls)``.
 
     ``T`` and ``certificate_lo`` come back as normalized pairs; the
@@ -243,23 +240,6 @@ def eps_probe_plan(tmin: TimeLike, eps: Fraction, kind: str, mode: str, grid: bo
     """
     tmin = norm_pair(*as_pair(tmin))
     tn, td = tmin
-    if grid:
-        # rounds r with tmin/2^r <= eps*tmin  ⟺  2^r >= 1/eps
-        r = 0
-        while (1 << r) * eps.numerator < eps.denominator:
-            r += 1
-        # tmin + j·tmin/2^r = tmin·(2^r + j)/2^r
-        den = td << r
-        grid_pts = tuple(
-            norm_pair(tn * ((1 << r) + j), den) for j in range((1 << r) + 1)
-        )
-        flags = yield ProbeRequest("accept_block", kind, mode, grid_pts)
-        calls = len(grid_pts)
-        if flags[0]:
-            return tmin, tmin, calls
-        j = next(k for k, ok in enumerate(flags) if ok)  # grid[-1] = 2·tmin accepts
-        return grid_pts[j], grid_pts[j - 1], calls
-
     calls = 1
     if (yield ProbeRequest("accept", kind, mode, (tmin,)))[0]:
         # T_min ≤ OPT: ratio exactly 3/2.
@@ -277,42 +257,12 @@ def eps_probe_plan(tmin: TimeLike, eps: Fraction, kind: str, mode: str, grid: bo
     return hi, lo, calls
 
 
-def integer_probe_plan(tmin: TimeLike, kind: str, grid: bool):
+def integer_probe_plan(tmin: TimeLike, kind: str):
     """Theorem 8's probe sequence; returns ``(T, calls)``, ``T`` an exact pair."""
     tn, td = as_pair(tmin)
     lo_int = pair_ceil(tn, td)  # OPT ∈ N and OPT ≥ T_min ⟹ OPT ≥ ⌈T_min⌉
     hi_int = pair_ceil(2 * tn, td)
     calls = 1
-    if grid:
-        flags = yield ProbeRequest("accept_block", kind, "", ((lo_int, 1),))
-        if flags[0]:
-            return (lo_int, 1), calls
-        lo, hi = lo_int, hi_int  # lo rejected, hi accepted (hi ≥ 2·t_min ≥ OPT)
-        while hi - lo > 1:
-            if hi - lo - 1 <= GRID_BLOCK:
-                cands = list(range(lo + 1, hi))
-            else:
-                span = hi - lo
-                cands = sorted(
-                    {
-                        lo + round_half_even((k + 1) * span, GRID_BLOCK + 1)
-                        for k in range(GRID_BLOCK)
-                    }
-                    - {lo, hi}
-                )
-            calls += len(cands)
-            flags = yield ProbeRequest(
-                "accept_block", kind, "", tuple((c, 1) for c in cands)
-            )
-            first_ok = next((k for k, ok in enumerate(flags) if ok), None)
-            if first_ok is None:
-                lo = cands[-1]
-            else:
-                hi = cands[first_ok]
-                if first_ok > 0:
-                    lo = cands[first_ok - 1]
-        return (hi, 1), calls
-
     if (yield ProbeRequest("accept", kind, "", ((lo_int, 1),)))[0]:
         return (lo_int, 1), calls
     lo, hi = lo_int, hi_int  # lo rejected, hi accepted (hi ≥ 2·t_min ≥ OPT)
@@ -424,21 +374,20 @@ def binary_search_dual(
     build: Optional[BuildFn],
     eps: Fraction = Fraction(1, 100),
     *,
-    grid_accept: Optional[GridAcceptFn] = None,
+    kind: str = "",
+    mode: str = "",
 ) -> SearchResult:
     """Theorem 2 — (3/2)(1+ε)-approximation with O(log 1/ε) dual tests.
 
-    With ``grid_accept`` the whole dyadic ε-grid (the candidate set the
-    sequential bisection draws its midpoints from) is evaluated in a
-    single batched call and the flip read off the bits — identical
-    result for a monotone ``accept``, 1 round-trip instead of
-    ``O(log 1/ε)``.
+    ``kind``/``mode`` name the dual test behind ``accept`` for the
+    ``probe.<kind>.<mode>`` counters (labels only: the probes never
+    depend on them).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     tmin = t_min(instance, variant)
-    plan = eps_probe_plan(tmin, eps, "", "", grid=grid_accept is not None)
-    T, lo, calls = drive_plan(plan, _black_box_evaluator(accept, grid_accept))
+    plan = eps_probe_plan(tmin, eps, kind, mode)
+    T, lo, calls = drive_plan(plan, _black_box_evaluator(accept))
     T = fast_fraction(*T)
     return SearchResult(
         T, _maybe_build(build, T), certificate_lo=fast_fraction(*lo),
@@ -452,41 +401,34 @@ def integer_search_dual(
     accept: AcceptFn,
     build: Optional[BuildFn],
     *,
-    grid_accept: Optional[GridAcceptFn] = None,
+    kind: str = "",
 ) -> SearchResult:
     """Theorem 8 — exact 3/2 ratio when OPT is integral (non-preemptive).
 
-    With ``grid_accept`` the integer window ``[⌈T_min⌉, ⌈2·T_min⌉]`` is
-    narrowed with evenly spaced candidate *blocks* (:data:`GRID_BLOCK`
-    per call): windows up to ``GRID_BLOCK²`` integers — every practical
-    instance — resolve in at most two batched calls.
+    ``kind`` labels the probe counters, as in :func:`binary_search_dual`.
     """
     tmin = t_min(instance, variant)
-    plan = integer_probe_plan(tmin, "", grid=grid_accept is not None)
-    T, calls = drive_plan(plan, _black_box_evaluator(accept, grid_accept))
+    plan = integer_probe_plan(tmin, kind)
+    T, calls = drive_plan(plan, _black_box_evaluator(accept))
     T = fast_fraction(*T)
     return SearchResult(
         T, _maybe_build(build, T), certificate_lo=T, accept_calls=calls
     )
 
 
-def _black_box_evaluator(accept: AcceptFn, grid_accept: Optional[GridAcceptFn]):
-    """Route plan requests to a caller-supplied accept / grid evaluator.
+def _black_box_evaluator(accept: AcceptFn):
+    """Route plan requests to a caller-supplied accept predicate.
 
     This is the pair→Fraction boundary for black-box searches: the
-    caller's ``accept`` / ``grid_accept`` speak :class:`Time`, so each
-    probed pair is rebuilt via ``fast_fraction`` here (pairs are already
-    normalized — the slot-writing constructor skips the gcd).  Preserves
-    the sequential probe contract exactly: one cancellation poll per
-    request, scalar probes through ``accept``, candidate blocks through
-    ``grid_accept`` (only emitted by grid-mode plans).
+    caller's ``accept`` speaks :class:`Time`, so each probed pair is
+    rebuilt via ``fast_fraction`` here (pairs are already normalized —
+    the slot-writing constructor skips the gcd).  Preserves the
+    sequential probe contract exactly: one cancellation poll per
+    request, every probe through ``accept``.
     """
 
     def evaluate(req: ProbeRequest) -> Sequence[bool]:
         check_cancelled()  # probe boundary
-        if req.op == "accept_block":
-            assert grid_accept is not None
-            return grid_accept([fast_fraction(tn, td) for tn, td in req.times])
         return [accept(fast_fraction(tn, td)) for tn, td in req.times]
 
     return evaluate
@@ -498,14 +440,12 @@ def right_interval_bisect(
     *,
     first_rejected: bool = True,
     last_accepted: bool = True,
-    grid_accept: Optional[GridAcceptFn] = None,
 ) -> tuple[Time, Time]:
     """Find adjacent ``(c_j, c_{j+1}]`` with ``c_j`` rejected, ``c_{j+1}`` accepted.
 
     Preconditions (asserted if the flags are False): ``candidates[0]`` is
     rejected and ``candidates[-1]`` accepted.  Needs O(log k) accept
-    calls — or, with ``grid_accept``, ``O(log_B k)`` batched block calls
-    (one call for the common ``k ≤ B = GRID_BLOCK`` case).
+    calls.
     """
     if len(candidates) < 2:
         raise ValueError("need at least two candidates")
@@ -513,13 +453,12 @@ def right_interval_bisect(
         raise ValueError("candidates[0] must be rejected")
     if not last_accepted and not accept(candidates[-1]):
         raise ValueError("candidates[-1] must be accepted")
-    # Fresh plan-local memo: a caller's MemoAccept / wrap_grid still
-    # deduplicates across phases, so counting is unchanged.
+    # Fresh plan-local memo: a caller's MemoAccept still deduplicates
+    # across phases, so counting is unchanged.
     plan = right_interval_plan(
-        [as_pair(T) for T in candidates], {}, [0], "", "",
-        grid=grid_accept is not None,
+        [as_pair(T) for T in candidates], {}, [0], "", "", grid=False
     )
-    lo, hi = drive_plan(plan, _black_box_evaluator(accept, grid_accept))
+    lo, hi = drive_plan(plan, _black_box_evaluator(accept))
     return fast_fraction(*lo), fast_fraction(*hi)
 
 

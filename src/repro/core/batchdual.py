@@ -1,19 +1,24 @@
 """Vectorized dual-test grids over a shared :class:`~repro.core.fastnum.DualContext`.
 
-The searches of Theorems 2/3/6/8 probe the per-``T`` dual tests at many
-candidate makespans.  PR 1 made one probe fast (scaled machine ints);
-this module makes *many* probes fast by evaluating a whole grid of
-candidates ``T_j = tn_j / td_j`` in one pass:
+The Class Jumping searches of Theorems 3/6 probe the per-``T`` dual
+tests at many candidate makespans.  The scalar kernel makes one probe
+fast (scaled machine ints); this module makes *many* probes fast by evaluating a
+whole grid of candidates ``T_j = tn_j / td_j`` in one pass:
 
 * :func:`fast_split_test_grid` — Theorem 7(i) on a candidate grid;
-* :func:`fast_nonp_test_grid`  — Theorem 9(i) on a candidate grid;
-* :func:`fast_pmtn_test_grid`  — Theorem 5(i) on a candidate grid.
+* :func:`fast_pmtn_test_grid`  — Theorem 5(i) on a candidate grid;
+* :func:`fast_base_core_grid`  — Algorithm 4's monotone base test.
 
-Each returns exactly the scalar kernel's verdict tuples
-(:class:`SplitVerdict` / :class:`NonpVerdict` / :class:`PmtnVerdict`),
-one per candidate, **bit-identical** to calling the scalar test per
-candidate — the differential suite asserts this on every generator
-suite.  Three execution tiers stand behind that guarantee:
+The bounds-only split/pmtn flip searches reach the split and base-core
+grids through :func:`grid_accept_pairs_fn` when the grid policy
+(:data:`repro.algos.batch_api.GRID_POLICY`) picks the grid; the full
+Theorem-5 verdict grid has no search caller and is pinned by the
+differential suite alone.  Each
+returns exactly the scalar kernel's verdicts (:class:`SplitVerdict` /
+:class:`PmtnVerdict` / ``(load, m')``), one per candidate,
+**bit-identical** to calling the scalar test per candidate — the
+differential suite asserts this on every generator suite.  Three
+execution tiers stand behind that guarantee:
 
 1. **numpy int64** (the fast path): per-class data lives in cached
    ``int64`` arrays (``ctx.batch_cache``, shared by
@@ -44,10 +49,8 @@ from typing import Callable, Optional, Sequence
 
 from .fastnum import (
     DualContext,
-    NonpVerdict,
     PmtnVerdict,
     SplitVerdict,
-    fast_nonp_test,
     fast_pmtn_test,
     fast_split_test,
 )
@@ -73,10 +76,8 @@ __all__ = [
     "cache_entries",
     "grid_pairs",
     "fast_split_test_grid",
-    "fast_nonp_test_grid",
     "fast_pmtn_test_grid",
     "fast_base_core_grid",
-    "grid_accept_fn",
     "grid_accept_pairs_fn",
 ]
 
@@ -149,52 +150,6 @@ def _np_sorted(ctx: DualContext, cls: int):
     return arrs
 
 
-def _np_flat(ctx: DualContext) -> dict:
-    """Flattened per-class sorted views: one concatenated array + offsets.
-
-    The non-preemptive grid's job thresholds used to resolve with two
-    ``searchsorted`` calls *per class* inside a Python loop — numpy
-    dispatch per class made the grid lose to ~11 scalar probes (the
-    ROADMAP's measured caveat).  This cache concatenates every class's
-    sorted times into one key array, offset per class by
-    ``base_i = i · spacing`` (``spacing > tmax`` keeps the class ranges
-    disjoint), so *all* ``c × g`` threshold queries resolve in a single
-    ``searchsorted`` over clamped keys ``base_i + clip(thr, 0, tmax)``,
-    and the per-class prefix-sum weights come back via one fancy-indexed
-    gather.  Built once per context, shared by :meth:`DualContext.for_m`
-    clones across a machine sweep.
-    """
-    flat = ctx.batch_cache.get("np_flat")
-    if flat is None:
-        spacing = max(ctx.class_tmax) + 2
-        counts = _np.asarray(ctx.nclass, dtype=_np.int64)
-        noff = _np.zeros(ctx.c + 1, dtype=_np.int64)
-        _np.cumsum(counts, out=noff[1:])
-        keys = _np.empty(int(noff[-1]), dtype=_np.int64)
-        prefix_parts = []
-        poff = _np.zeros(ctx.c + 1, dtype=_np.int64)
-        for i in range(ctx.c):
-            ts, prefix = ctx.sorted_jobs(i)
-            keys[int(noff[i]):int(noff[i + 1])] = _np.asarray(ts, dtype=_np.int64)
-            keys[int(noff[i]):int(noff[i + 1])] += i * spacing
-            prefix_parts.append(_np.asarray(prefix, dtype=_np.int64))
-            poff[i + 1] = poff[i] + len(prefix)
-        prefix_flat = (
-            _np.concatenate(prefix_parts) if prefix_parts
-            else _np.empty(0, dtype=_np.int64)
-        )
-        flat = {
-            "spacing": spacing,
-            "keys": keys,
-            "noff": noff,
-            "prefix": prefix_flat,
-            "poff": poff[:-1],          # start of class i's prefix block
-            "counts": counts,
-        }
-        ctx.batch_cache["np_flat"] = flat
-    return flat
-
-
 def _maxima(ctx: DualContext) -> tuple[int, int, int]:
     """Cached ``(max_i P_i, s_max, alpha_cap)`` for the overflow bound.
 
@@ -226,9 +181,7 @@ def _grid_is_safe(ctx: DualContext, tns: list[int], tds: list[int]) -> bool:
     dominates every per-class scaled quantity, and each accumulated sum
     touches at most ``c`` classes with a constant factor ≤ 8.  A miss
     only costs speed — the caller drops to the scalar kernel, never
-    precision.  (The non-preemptive grid additionally checks its own
-    flattened-key bound, :func:`_flat_keys_safe`; it does not belong
-    here because the split/pmtn/base-core grids never build those keys.)
+    precision.
     """
     max_tn, min_tn = max(tns), min(tns)
     max_td = max(tds)
@@ -241,16 +194,6 @@ def _grid_is_safe(ctx: DualContext, tns: list[int], tds: list[int]) -> bool:
         and ctx.m * max_tn < _GUARD
         and (ctx.total_processing + ctx.c * smax * K) * max_td < _GUARD
     )
-
-
-def _flat_keys_safe(ctx: DualContext) -> bool:
-    """Does the flattened-searchsorted key space ``c · spacing`` fit int64?
-
-    Only the non-preemptive grid builds :func:`_np_flat` keys; the other
-    grids are not throttled by this bound.  A miss drops that grid to
-    the scalar kernel — identical verdicts, just slower.
-    """
-    return ctx.c * (max(ctx.class_tmax) + 2) < _GUARD
 
 
 def _use_numpy(ctx, tns, tds, use_numpy: Optional[bool]) -> bool:
@@ -317,98 +260,6 @@ def fast_split_test_grid(
             for a, l, me in zip(acc, load, m_exp)
         )
     return out
-
-
-# --------------------------------------------------------------------------- #
-# non-preemptive (Theorem 9)
-# --------------------------------------------------------------------------- #
-
-
-def fast_nonp_test_grid(
-    ctx: DualContext,
-    tns: Sequence[int],
-    tds,
-    *,
-    use_numpy: Optional[bool] = None,
-) -> list[NonpVerdict]:
-    """Theorem 9(i) on a candidate grid (see :func:`fast_split_test_grid`).
-
-    The per-class job thresholds (``J⁺`` and ``K`` counts/weights) are
-    resolved over the *flattened* sorted views of :func:`_np_flat`: one
-    ``searchsorted`` over all ``c × g`` offset-keyed queries per
-    threshold kind, plus one gathered prefix-sum lookup — no Python loop
-    over classes.  This is what makes the grid tier win at large ``c``
-    (it used to pay numpy dispatch per class and lose to scalar probes).
-    """
-    tns, tds = _as_vectors(tns, tds)
-    if not tns:
-        return []
-    if not _use_numpy(ctx, tns, tds, use_numpy) or not _flat_keys_safe(ctx):
-        obs_count("grid.rows_scalar", len(tns))
-        return [fast_nonp_test(ctx, tn, td) for tn, td in zip(tns, tds)]
-    obs_count("grid.rows_np", len(tns))
-    m, spt, c = ctx.m, ctx.spt, ctx.c
-    out: list[Optional[NonpVerdict]] = [None] * len(tns)
-    tn_all = _np.asarray(tns, dtype=_np.int64)
-    td_all = _np.asarray(tds, dtype=_np.int64)
-    nontrivial = tn_all >= spt * td_all
-    for j in _np.nonzero(~nontrivial)[0]:
-        out[j] = NonpVerdict(False, ctx.total_load, m + 1)  # Note 2
-    live = _np.nonzero(nontrivial)[0]
-    if not live.size:
-        return out  # type: ignore[return-value]
-    views = _np_views(ctx)
-    flat = _np_flat(ctx)
-    S = views["setups"][:, None]                 # (c, 1)
-    P = views["P"][:, None]
-    spacing = flat["spacing"]
-    keys, prefix = flat["keys"], flat["prefix"]
-    noff = flat["noff"][:-1, None]               # key-block starts   (c, 1)
-    poff = flat["poff"][:, None]                 # prefix-block starts (c, 1)
-    counts = flat["counts"][:, None]
-    base = (_np.arange(c, dtype=_np.int64) * spacing)[:, None]
-    hi_clip = spacing - 2                        # ≥ global tmax ≥ every key
-    # This kernel holds ~13 simultaneous (c, g) temporaries (the other
-    # grids hold ~4), so chunk 4× finer to keep the transient peak in the
-    # same memory envelope as the rest of the module.
-    for lo, hi in _chunks(len(live), 4 * c):
-        idx = live[lo:hi]
-        tn = tn_all[idx]                         # (g,)
-        td = td_all[idx]
-        td2 = 2 * td
-        std = S * td                             # (c, g)
-        cap = tn - std                           # (T − s_i)·td > 0 on live lanes
-        exp = 2 * std > tn
-        m_exp = _ceil_div_np(P * td, cap)        # α_i
-        # J⁺ threshold t_j > T/2 — one flattened searchsorted for all classes
-        q_big = base + _np.clip(tn // td2, 0, hi_clip)
-        cut_big = (
-            _np.searchsorted(keys, q_big.ravel(), side="right").reshape(q_big.shape)
-            - noff
-        )
-        n_big = counts - cut_big
-        w_big = P - prefix[poff + cut_big]
-        # K threshold s_i + t_j > T/2 (minus the J⁺ part), same trick
-        q_ge = base + _np.clip((tn - 2 * std) // td2, 0, hi_clip)
-        cut_ge = (
-            _np.searchsorted(keys, q_ge.ravel(), side="right").reshape(q_ge.shape)
-            - noff
-        )
-        k_weight = (P - prefix[poff + cut_ge]) - w_big
-        m_chp = n_big + _np.where(
-            k_weight > 0, _ceil_div_np(k_weight * td, cap), 0
-        )
-        m_i = _np.where(exp, m_exp, m_chp)
-        load = (
-            ctx.total_processing
-            + (m_i * S).sum(axis=0)
-            + _np.where(P * td > m_i * cap, S, 0).sum(axis=0)  # x_i > 0 setups
-        )
-        m_prime = m_i.sum(axis=0)
-        acc = (m * tn >= load * td) & (m >= m_prime)
-        for k, j in enumerate(idx):
-            out[j] = NonpVerdict(bool(acc[k]), int(load[k]), int(m_prime[k]))
-    return out  # type: ignore[return-value]
 
 
 # --------------------------------------------------------------------------- #
@@ -585,15 +436,16 @@ def fast_base_core_grid(
 def grid_accept_pairs_fn(
     ctx: DualContext,
     kind: str,
-    mode: str = "gamma",
     *,
     use_numpy: Optional[bool] = None,
 ) -> Callable[[Sequence[tuple[int, int]]], list[bool]]:
-    """A ``pairs -> [accepted]`` evaluator for the scaled-int plan tier.
+    """A ``pairs -> [accepted]`` evaluator for the flip searches' grid blocks.
 
-    Same dispatch as :func:`grid_accept_fn`, but the candidates arrive as
-    ``(num, den)`` int pairs — the native currency of the probe plans —
-    so no Fraction is touched between the plan and the grid kernels.
+    ``kind`` selects the test: ``"split"`` (Theorem 7, the splittable
+    flip search) or ``"pmtn_base"`` (Algorithm 4's base core, the
+    preemptive flip search).  Candidates arrive as ``(num, den)`` int
+    pairs — the native currency of the probe plans — so no Fraction is
+    touched between the plan and the grid kernels.
     """
     if kind == "split":
         def evaluate(cands: Sequence[tuple[int, int]]) -> list[bool]:
@@ -614,47 +466,6 @@ def grid_accept_pairs_fn(
                     fast_base_core_grid(ctx, tns, tds, use_numpy=use_numpy), tns, tds
                 )
             ]
-    elif kind == "nonp":
-        def evaluate(cands: Sequence[tuple[int, int]]) -> list[bool]:
-            tns = [tn for tn, _ in cands]
-            tds = [td for _, td in cands]
-            return [
-                v.accepted
-                for v in fast_nonp_test_grid(ctx, tns, tds, use_numpy=use_numpy)
-            ]
-    elif kind == "pmtn":
-        def evaluate(cands: Sequence[tuple[int, int]]) -> list[bool]:
-            tns = [tn for tn, _ in cands]
-            tds = [td for _, td in cands]
-            return [
-                v.accepted
-                for v in fast_pmtn_test_grid(
-                    ctx, tns, tds, mode, use_numpy=use_numpy
-                )
-            ]
     else:
         raise ValueError(f"unknown grid kind {kind!r}")
-    return evaluate
-
-
-def grid_accept_fn(
-    ctx: DualContext,
-    kind: str,
-    mode: str = "gamma",
-    *,
-    use_numpy: Optional[bool] = None,
-) -> Callable[[Sequence[Time]], list[bool]]:
-    """A ``candidates -> [accepted]`` evaluator for the search routines.
-
-    ``kind`` selects the dual: ``"split"`` / ``"nonp"`` / ``"pmtn"``
-    (the latter honours ``mode``).  The returned callable is what
-    :func:`repro.algos.search.binary_search_dual` and friends take as
-    ``grid_accept``.  Thin Time-speaking wrapper over
-    :func:`grid_accept_pairs_fn`.
-    """
-    pairs_fn = grid_accept_pairs_fn(ctx, kind, mode, use_numpy=use_numpy)
-
-    def evaluate(cands: Sequence[Time]) -> list[bool]:
-        return pairs_fn([(T.numerator, T.denominator) for T in cands])
-
     return evaluate

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from ..algos.api import solve
@@ -220,13 +219,13 @@ def render_machine_sweep(
 
 
 # --------------------------------------------------------------------------- #
-# Experiment S3 — the flattened non-preemptive grid vs scalar probes
+# Experiment S3 — the split/pmtn flip-search grid vs scalar probes
 # --------------------------------------------------------------------------- #
 
 
 @dataclass(frozen=True)
 class GridTiming:
-    shape: str            # "<variant>/<algorithm>" search shape
+    shape: str            # "<variant>/three_halves" flip-search shape
     c: int
     block: int            # candidates per batched grid call for this shape
     scalar_seconds: float
@@ -242,43 +241,42 @@ class GridTiming:
         return self.block * self.c
 
 
-#: The search shapes the auto policy distinguishes: every variant's
-#: Class-Jumping / integer flip search plus the dyadic ε-search.
-GRID_SHAPES: tuple[tuple[Variant, str], ...] = tuple(
-    (variant, algorithm) for variant in Variant for algorithm in ("three_halves", "eps")
-)
+#: The flip searches that have a grid tier (:data:`repro.algos.
+#: batch_api.GRID_POLICY`); every other search always probes scalar.
+GRID_SHAPES: tuple[Variant, ...] = (Variant.SPLITTABLE, Variant.PREEMPTIVE)
 
 
 def run_grid_crossover(
     cs: Sequence[int] = (12, 40, 100, 200, 400),
     m: int = 24,
     repeats: int = 3,
-    shapes: Sequence[tuple[Variant, str]] = GRID_SHAPES,
+    shapes: Sequence[Variant] = GRID_SHAPES,
 ) -> list[GridTiming]:
-    """Bounds-only sweeps per search shape: grid evaluator off vs forced on.
+    """Bounds-only flip searches per shape: grid evaluator off vs on.
 
-    PR 3 flattened the grid's per-class ``searchsorted`` loop into one
-    concatenated-keys query (:func:`repro.core.batchdual._np_flat`) and
-    measured the non-preemptive crossover; PR 5's ``class_tmax``
-    short-circuit moved that crossover past every measured ``c``.  PR 9
-    made the auto policy *shape-aware* — gated per probe kind on the
-    product of candidate-block size and class count (see
-    :data:`repro.algos.batch_api.GRID_POLICY`) — so this
-    experiment now times every ``variant × algorithm`` search shape: the
-    flip searches probe candidate lists of ≤ c + 2 points, the ε-search
-    one dyadic grid of ~129 points, and the block×c column is exactly
-    the quantity the policy gates on.  Re-run after touching either tier
-    and recalibrate the ceilings from the winner column.  Requires numpy
-    (the ``[batch]`` extra).
+    The auto policy (:data:`repro.algos.batch_api.GRID_POLICY`) gates
+    each flip search on the product of candidate-block size (≤ c + 2
+    jump points, capped at :data:`~repro.algos.search.GRID_BLOCK`) and
+    class count; the block×c column is exactly that quantity.  Each
+    cell times one machine sweep of Class Jumping searches
+    (:func:`~repro.algos.jumping_split.find_flip_splittable` /
+    :func:`~repro.algos.jumping_pmtn.find_flip_pmtn`) with the grid off
+    and on.  Re-run after touching either tier and recalibrate the
+    ceilings from the winner column.  Requires numpy (the ``[batch]``
+    extra).
     """
-    from ..algos.batch_api import _grid_block_estimate
+    from ..algos.jumping_pmtn import find_flip_pmtn
+    from ..algos.jumping_split import find_flip_splittable
+    from ..algos.search import GRID_BLOCK
     from ..core import batchdual
 
     if not batchdual.HAVE_NUMPY:
         raise RuntimeError("Experiment S3 requires numpy (pip install '.[batch]')")
-    eps = Fraction(1, 100)
     out = []
-    for variant, algorithm in shapes:
+    for variant in shapes:
+        find_flip = (
+            find_flip_splittable if variant is Variant.SPLITTABLE else find_flip_pmtn
+        )
         for c in cs:
             inst = uniform_instance(m=m, c=c, n_per_class=2, seed=404)
             ms = list(range(2, 2 * m + 1, 3))
@@ -289,16 +287,17 @@ def run_grid_crossover(
                         m=inst.m, setups=inst.setups, jobs=inst.jobs
                     )
                     t0 = time.perf_counter()
-                    sweep_machines(
-                        fresh, ms, variant, algorithm, eps,
-                        schedules=False, use_grid=grid,
-                    )
+                    for mm in ms:
+                        find_flip(
+                            fresh.with_machines(mm, share_caches=True),
+                            use_grid=grid,
+                        )
                     best[grid] = min(best[grid], time.perf_counter() - t0)
             out.append(
                 GridTiming(
-                    shape=f"{variant}/{algorithm}",
+                    shape=f"{variant}/three_halves",
                     c=c,
-                    block=_grid_block_estimate(algorithm, eps, c),
+                    block=min(c + 2, GRID_BLOCK),
                     scalar_seconds=best[False],
                     grid_seconds=best[True],
                 )
@@ -323,9 +322,9 @@ def render_grid_crossover(timings: list[GridTiming] | None = None) -> str:
     ]
     return format_table(
         ["search shape", "classes c", "block", "block×c", "scalar probes",
-         "flattened grid", "grid speedup", "winner"],
+         "grid", "grid speedup", "winner"],
         table_rows,
-        title="Experiment S3: grid tier vs scalar probes per search shape "
+        title="Experiment S3: flip-search grid tier vs scalar probes "
               "(bounds-only machine sweeps; the auto policy gates on block×c "
               "per probe kind — repro.algos.batch_api.GRID_POLICY)",
     )

@@ -7,8 +7,8 @@ disarmed (one thread-local read per seam).
 
 * :mod:`repro.obs.trace` — :class:`TraceScope` / :func:`span`: a
   thread-local counter+span scope with an injectable monotonic clock.
-  The solver seams (probe plans, accept memos, grid dispatch, the
-  xbatch lockstep coordinator, ItemStore bulk emits) report into the
+  The solver seams (probe plans, accept memos, grid dispatch,
+  ItemStore bulk emits) report into the
   current scope when one is armed and do nothing otherwise.
 * :mod:`repro.obs.metrics` — single-writer counters and log-bucketed
   latency :class:`Histogram`\\ s for the service request lifecycle

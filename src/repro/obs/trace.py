@@ -13,7 +13,7 @@ without signature churn and without perturbing them:
 * **No signature churn.**  The owner of a solve (a shard worker, a
   bench harness, a test) installs a :class:`TraceScope` with ``with``;
   the seams in :mod:`repro.algos.search`, :mod:`repro.algos.batch_api`,
-  :mod:`repro.core.xbatch` and :mod:`repro.core.itemstore` report into
+  :mod:`repro.core.batchdual` and :mod:`repro.core.itemstore` report into
   whatever scope is current on their thread.  Solves run entirely on
   one thread, so a thread-local is exact.
 
@@ -26,18 +26,15 @@ Counter glossary (what the seams report):
 
 =========================  ==============================================
 ``probe.<kind>.<mode>``    dual-test probe values requested per probe
-                           kind/mode (``-`` where a plan left one blank)
+                           kind (``split``/``pmtn``/``pmtn_base``/
+                           ``nonp``) and mode (``-`` for modeless tests)
 ``memo.hit``               accept-memo cache hits (no kernel call)
 ``memo.call``              distinct kernel accept evaluations
-``dispatch.grid``          searches dispatched to the vectorized grid tier
-``dispatch.scalar``        searches dispatched to scalar probing
+``dispatch.grid``          bounds-only searches dispatched to the
+                           vectorized grid tier (split/pmtn flip searches)
+``dispatch.scalar``        bounds-only searches dispatched to scalar probing
 ``grid.rows_np``           grid candidates evaluated by the numpy tier
 ``grid.rows_scalar``       grid candidates that fell back to scalar calls
-``xbatch.fused_rounds``    lockstep rounds that fused >= 1 probe group
-``xbatch.straggler``       lockstep items that fell back to the
-                           sequential per-item path
-``xbatch.rows_fused``      probe rows evaluated by the fused numpy tier
-``xbatch.rows_scalar``     probe rows evaluated by the scalar fallback
 ``itemstore.emit``         ItemStore bulk ``emit_window`` calls
 =========================  ==============================================
 """

@@ -75,8 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="global admitted-request window (default 64)")
     parser.add_argument("--max-instances", type=int, default=8,
                         help="per-shard LRU bound on warm instances (default 8)")
-    parser.add_argument("--kernel", choices=["fast", "fraction"], default="fast",
-                        help="numeric kernel for every solve (default fast)")
     parser.add_argument("--queue-bound", type=int, default=64,
                         help="per-shard pending-queue bound; submits beyond it "
                              "are shed with a retryable 'overloaded' error "
@@ -87,10 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--restart-backoff", type=float, default=0.05,
                         help="first restart delay in seconds, doubling per "
                              "restart (default 0.05)")
-    parser.add_argument("--xbatch", action="store_true",
-                        help="fuse each micro-batch's dual tests across "
-                             "instances into one padded grid evaluation "
-                             "(bit-identical results; fast kernel only)")
     parser.add_argument("--faults", type=_parse_faults, metavar="PLAN",
                         default=None,
                         help="arm a deterministic fault plan (testing only): "
@@ -114,13 +108,11 @@ async def _amain(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         max_inflight=args.max_inflight,
         max_instances=args.max_instances,
-        kernel=args.kernel,
         queue_bound=args.queue_bound,
         max_restarts=args.max_restarts,
         restart_backoff=args.restart_backoff,
         workers=args.workers,
         hard_kill_grace_ms=args.hard_kill_grace_ms,
-        xbatch=args.xbatch,
         slow_ms=args.slow_ms,
     )
     trace = TraceWriter(args.trace) if args.trace is not None else None

@@ -42,7 +42,6 @@ from typing import Iterable, Optional
 
 from ..algos.batch_api import _validate_request
 from ..core.cancel import CancelToken
-from ..core.fastnum import validate_kernel
 from ..obs.metrics import Metrics, RequestTimes
 from ..obs.trace import TraceWriter
 from .faults import FaultPlan
@@ -83,39 +82,30 @@ class ServiceConfig:
     last in-flight deadline a child may go silent before it is
     SIGKILLed.
 
-    ``xbatch=True`` dispatches each micro-batch through the
-    cross-instance lockstep coordinator
-    (``solve_batch(..., xbatch=True)``): all items' bracket searches
-    advance in rounds and each round's dual-test probes fuse into one
-    padded :class:`~repro.core.xbatch.BatchDualContext` kernel call.
-    Responses are bit-identical either way (pinned by
-    ``tests/test_xbatch.py``); both backends honour the knob.
+    Every shard solves on the scaled-integer ``"fast"`` kernel; the
+    Fraction tier stays a library-level differential oracle
+    (``repro.solve(..., kernel="fraction")``), not a deployment option.
     """
 
     shards: int = 4
     max_batch: int = 16
     max_inflight: int = 64
     max_instances: int = 8
-    kernel: str = "fast"
     queue_bound: int = 64
     max_restarts: int = 3
     restart_backoff: float = 0.05
     workers: str = "thread"
     hard_kill_grace_ms: int = 200
-    xbatch: bool = False
     #: Log any request whose total lifecycle (submit -> result) takes at
     #: least this many milliseconds, with its per-stage breakdown, to the
     #: ``repro.service`` logger.  ``None`` disables the slow-request log.
     slow_ms: Optional[int] = None
 
     def __post_init__(self) -> None:
-        validate_kernel(self.kernel)
         if self.workers not in ("thread", "process"):
             raise ValueError(
                 f"workers must be 'thread' or 'process', got {self.workers!r}"
             )
-        if not isinstance(self.xbatch, bool):
-            raise ValueError(f"xbatch must be a bool, got {self.xbatch!r}")
         if (
             isinstance(self.hard_kill_grace_ms, bool)
             or not isinstance(self.hard_kill_grace_ms, int)
@@ -263,12 +253,10 @@ class SolveService:
         shard_kwargs = dict(
             max_batch=self.config.max_batch,
             max_instances=self.config.max_instances,
-            kernel=self.config.kernel,
             queue_bound=self.config.queue_bound,
             max_restarts=self.config.max_restarts,
             restart_backoff=self.config.restart_backoff,
             faults=faults,
-            xbatch=self.config.xbatch,
         )
         if self.config.workers == "process":
             self._shards: list[Shard] = [

@@ -16,14 +16,15 @@ from fractions import Fraction
 import pytest
 
 from repro.algos.api import solve
-from repro.algos.jumping_pmtn import _base_core
+from repro.algos.batch_api import BatchItem, solve_batch
+from repro.algos.jumping_pmtn import _base_core, find_flip_pmtn
+from repro.algos.jumping_split import find_flip_splittable
 from repro.algos.nonpreemptive import nonp_dual_schedule, nonp_dual_test
 from repro.algos.pmtn_general import pmtn_dual_test, pmtn_dual_test_fast
 from repro.algos.splittable import split_dual_schedule, split_dual_test, split_dual_test_fast
 from repro.core import batchdual
 from repro.core.batchdual import (
     fast_base_core_grid,
-    fast_nonp_test_grid,
     fast_pmtn_test_grid,
     fast_split_test_grid,
     grid_pairs,
@@ -38,6 +39,7 @@ from repro.core.fastnum import (
 )
 from repro.core.instance import Instance
 from repro.generators import adversarial_suite, medium_suite, small_exact_suite
+from repro.obs.trace import TraceScope
 
 SUITE_INSTANCES = [
     pytest.param(inst, id=f"{suite}:{label}")
@@ -150,15 +152,6 @@ class TestGridEquivalence:
             assert fast_split_test_grid(ctx, tns, tds, use_numpy=True) == want
 
     @pytest.mark.parametrize("inst", SUITE_INSTANCES)
-    def test_nonp_grid(self, inst):
-        ctx = inst.fast_ctx()
-        tns, tds = grid_pairs(probe_points(inst, Variant.NONPREEMPTIVE))
-        want = [fast_nonp_test(ctx, tn, td) for tn, td in zip(tns, tds)]
-        assert fast_nonp_test_grid(ctx, tns, tds, use_numpy=False) == want
-        if batchdual.HAVE_NUMPY:
-            assert fast_nonp_test_grid(ctx, tns, tds, use_numpy=True) == want
-
-    @pytest.mark.parametrize("inst", SUITE_INSTANCES)
     @pytest.mark.parametrize("mode", ["alpha", "gamma"])
     def test_pmtn_grid(self, inst, mode):
         ctx = inst.fast_ctx()
@@ -197,9 +190,6 @@ class TestGridEquivalence:
         assert fast_split_test_grid(ctx, tns, tds) == [
             fast_split_test(ctx, tn, td) for tn, td in zip(tns, tds)
         ]
-        assert fast_nonp_test_grid(ctx, tns, tds) == [
-            fast_nonp_test(ctx, tn, td) for tn, td in zip(tns, tds)
-        ]
         for mode in ("alpha", "gamma"):
             assert fast_pmtn_test_grid(ctx, tns, tds, mode) == [
                 fast_pmtn_test(ctx, tn, td, mode) for tn, td in zip(tns, tds)
@@ -215,9 +205,6 @@ class TestGridEquivalence:
         tns, tds = [2**47 + 1, 2**48], [1, 1]
         assert not batchdual._grid_is_safe(ctx, tns, tds)
         for use_numpy in (None, False):
-            assert fast_nonp_test_grid(ctx, tns, tds, use_numpy=use_numpy) == [
-                fast_nonp_test(ctx, tn, td) for tn, td in zip(tns, tds)
-            ]
             for mode in ("alpha", "gamma"):
                 assert fast_pmtn_test_grid(ctx, tns, tds, mode, use_numpy=use_numpy) == [
                     fast_pmtn_test(ctx, tn, td, mode) for tn, td in zip(tns, tds)
@@ -235,6 +222,130 @@ class TestGridEquivalence:
         assert fast_split_test_grid(ctx, tns, tds) == want
         with pytest.raises(RuntimeError):
             fast_split_test_grid(ctx, tns, tds, use_numpy=True)
+
+
+GRID_KINDS = [("split", ""), ("pmtn", "alpha"), ("pmtn", "gamma"), ("pmtn_base", "")]
+
+
+def grid_and_scalar(ctx, kind, mode, tns, tds, use_numpy):
+    """One grid kernel call and the scalar kernel looped over its pairs."""
+    if kind == "split":
+        got = fast_split_test_grid(ctx, tns, tds, use_numpy=use_numpy)
+        want = [fast_split_test(ctx, tn, td) for tn, td in zip(tns, tds)]
+    elif kind == "pmtn":
+        got = fast_pmtn_test_grid(ctx, tns, tds, mode, use_numpy=use_numpy)
+        want = [fast_pmtn_test(ctx, tn, td, mode) for tn, td in zip(tns, tds)]
+    else:
+        got = fast_base_core_grid(ctx, tns, tds, use_numpy=use_numpy)
+        want = [fast_base_core(ctx, tn, td) for tn, td in zip(tns, tds)]
+    return got, want
+
+
+def rand_wide_instance(rng: random.Random, *, scale: int = 1) -> Instance:
+    """Ragged classes, setup-heavy, ``m`` ≈ ``c``: flip searches on this
+    shape probe both sides of the bracket instead of accepting at once."""
+    c = rng.randint(4, 16)
+    classes = [
+        (rng.randint(0, 30) * scale,
+         [rng.randint(1, 20) * scale for _ in range(rng.randint(1, 6))])
+        for _ in range(c)
+    ]
+    return Instance.build(rng.randint(max(2, c - 3), c + 2), classes)
+
+
+def shuffled_pairs(rng: random.Random, inst: Instance) -> tuple[list[int], list[int]]:
+    """Candidate pairs on both sides of ``T_min`` with mixed denominators."""
+    lo = t_min(inst, Variant.SPLITTABLE)
+    times = [lo, 2 * lo]
+    for _ in range(10):
+        times.append(lo * Fraction(rng.randint(1, 8), rng.randint(2, 9)))
+        times.append(lo + lo * Fraction(rng.randint(1, 6), rng.randint(1, 7)) / 2)
+    rng.shuffle(times)
+    return grid_pairs([t for t in times if t > 0])
+
+
+class TestGridKernelFuzz:
+    """Seeded fuzz of the surviving grid kernels against the scalar kernel.
+
+    The suite instances above pin the kernels on curated shapes; here
+    random ragged instances and shuffled, mixed-denominator candidate
+    rows (accepting and rejecting ``T`` interleaved) go through every
+    kind/mode, on the numpy tier and on the pure-python tier.
+    """
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind,mode", GRID_KINDS)
+    def test_random_rows_match_scalar(self, seed, kind, mode):
+        rng = random.Random(3100 + seed)
+        for _ in range(3):
+            inst = rand_wide_instance(rng)
+            ctx = inst.fast_ctx()
+            tns, tds = shuffled_pairs(rng, inst)
+            for use_numpy in (False, True) if batchdual.HAVE_NUMPY else (False,):
+                got, want = grid_and_scalar(ctx, kind, mode, tns, tds, use_numpy)
+                assert got == want
+
+    @pytest.mark.parametrize("kind,mode", GRID_KINDS)
+    def test_overflow_instances_fall_back_bit_identical(self, kind, mode):
+        """Values past the int64 guard route the whole call to the scalar
+        kernel; the verdicts stay exact."""
+        rng = random.Random(3200)
+        inst = rand_wide_instance(rng, scale=10**16)
+        ctx = inst.fast_ctx()
+        tns, tds = shuffled_pairs(rng, inst)
+        assert not batchdual._grid_is_safe(ctx, tns, tds)
+        for use_numpy in (None, False):
+            got, want = grid_and_scalar(ctx, kind, mode, tns, tds, use_numpy)
+            assert got == want
+
+
+class TestFlipSearchGrid:
+    """The flip searches' block-grid tier lands on the scalar flip.
+
+    ``find_flip_splittable``/``find_flip_pmtn`` with ``use_grid=True``
+    evaluate whole candidate blocks through the grid kernels — the tier
+    the batch engine selects for wide bounds-only split/pmtn searches.
+    On every suite instance the grid search, the scalar search and the
+    Fraction reference must agree on the flip.
+    """
+
+    @pytest.mark.parametrize("inst", SUITE_INSTANCES)
+    def test_flip_search_grid(self, inst):
+        ref, _ = find_flip_splittable(inst, kernel="fraction")
+        for use_grid in (False, True):
+            assert find_flip_splittable(inst, use_grid=use_grid)[0] == ref
+        ref_star, ref_witness, _ = find_flip_pmtn(inst, kernel="fraction")
+        for use_grid in (False, True):
+            star, witness, _ = find_flip_pmtn(inst, use_grid=use_grid)
+            assert (star, witness) == (ref_star, ref_witness)
+
+
+class TestNonpSearchDispatch:
+    """Non-preemptive bounds searches always probe scalar, exactly.
+
+    ``GRID_POLICY`` has no ``nonp`` row: a bounds-only non-preemptive
+    item — Theorem 8's integer search or the ε-bisection — records only
+    ``dispatch.scalar`` and certifies what the Fraction reference does.
+    """
+
+    @pytest.mark.parametrize("inst", SUITE_INSTANCES)
+    def test_nonp_search_is_scalar(self, inst):
+        items = [
+            BatchItem(instance=inst, variant=Variant.NONPREEMPTIVE,
+                      algorithm=algorithm, schedules=False)
+            for algorithm in ("three_halves", "eps")
+        ]
+        with TraceScope() as scope:
+            points = solve_batch(items)
+        dispatch = {
+            k: v for k, v in scope.counts.items() if k.startswith("dispatch.")
+        }
+        assert dispatch == {"dispatch.scalar": len(items)}
+        for item, point in zip(items, points):
+            ref = solve(inst, Variant.NONPREEMPTIVE, item.algorithm, kernel="fraction")
+            assert (point.T, point.ratio_bound, point.opt_lower_bound) == (
+                ref.T, ref.ratio_bound, ref.opt_lower_bound,
+            )
 
 
 def placements_key(schedule):

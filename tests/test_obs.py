@@ -306,13 +306,80 @@ class TestSolverSeams:
     def test_batch_dispatch_counters(self):
         from repro.algos.batch_api import BatchItem, solve_batch
 
-        # the grid-vs-scalar dispatch decision only exists on bounds-only
-        # non-preemptive searches — the tier the grid accelerates
+        # every bounds-only search records its grid-vs-scalar dispatch; a
+        # non-preemptive search has no grid tier, so it always goes scalar
         items = [BatchItem(instance=fresh(TINY), variant=Variant.NONPREEMPTIVE,
                            schedules=False)]
         with TraceScope() as scope:
-            solve_batch(items, use_grid=False)
+            solve_batch(items)
         assert scope.counts.get("dispatch.scalar", 0) >= 1
+        assert "dispatch.grid" not in scope.counts
+
+    def test_every_probe_is_labelled(self, monkeypatch):
+        """The medium service burst leaves no ``probe.-.*`` bucket, and the
+        per-kind probe counts sum to the total probe volume."""
+        from repro.algos import jumping_pmtn, jumping_split, search
+        from repro.algos.batch_api import solve_batch
+        from repro.experiments.scaling import service_burst, service_pool
+        from repro.generators import uniform_instance
+
+        pool = service_pool(uniform_instance(m=8, c=12, n_per_class=6, seed=101))
+        items = [req.to_item() for req in service_burst(pool)]
+        total = [0]
+        drive = search.drive_plan
+
+        def counting_drive(plan, evaluate):
+            def spy(req):
+                total[0] += len(req.times)
+                return evaluate(req)
+
+            return drive(plan, spy)
+
+        # every plan-driven search crosses one of these drive_plan bindings
+        for module in (search, jumping_split, jumping_pmtn):
+            monkeypatch.setattr(module, "drive_plan", counting_drive)
+        with TraceScope() as scope:
+            solve_batch(items)
+        probes = {k: v for k, v in scope.counts.items() if k.startswith("probe.")}
+        assert not [k for k in probes if k.startswith("probe.-.")], probes
+        assert {k.split(".")[1] for k in probes} >= {"split", "pmtn", "nonp"}
+        assert total[0] > 0
+        assert sum(probes.values()) == total[0]
+
+    @pytest.mark.parametrize("c, grid_variants", [
+        (300, {Variant.SPLITTABLE}),                        # bounds-near shape
+        (200, {Variant.SPLITTABLE, Variant.PREEMPTIVE}),
+    ])
+    def test_flip_search_grid_is_the_only_grid_path(self, c, grid_variants):
+        """Bounds-only split/pmtn flip searches dispatch to the grid where
+        GRID_POLICY admits their shape; ε-searches and non-preemptive
+        searches always dispatch scalar.  The certificates equal the
+        Fraction oracle's either way (a grid block counts every candidate
+        it evaluates, so only scalar searches also match ``accept_calls``)."""
+        from dataclasses import replace
+
+        from repro.algos.batch_api import BatchItem, solve_batch
+        from repro.core import batchdual
+        from repro.generators import uniform_instance
+
+        if not batchdual.HAVE_NUMPY:
+            pytest.skip("the grid tier needs numpy")
+        inst = uniform_instance(m=c, c=c, n_per_class=2, tmax=20, seed=800)
+        for variant in Variant:
+            for algorithm in ("three_halves", "eps"):
+                item = BatchItem(instance=inst, variant=variant,
+                                 algorithm=algorithm, schedules=False)
+                with TraceScope() as scope:
+                    (got,) = solve_batch([item])
+                (ref,) = solve_batch([item], kernel="fraction")
+                dispatch = {k: v for k, v in scope.counts.items()
+                            if k.startswith("dispatch.")}
+                if algorithm == "three_halves" and variant in grid_variants:
+                    assert dispatch == {"dispatch.grid": 1}, (variant, algorithm)
+                    ref = replace(ref, accept_calls=got.accept_calls)
+                else:
+                    assert dispatch == {"dispatch.scalar": 1}, (variant, algorithm)
+                assert got == ref, (variant, algorithm)
 
     def test_itemstore_emit_counter(self):
         with TraceScope() as scope:
@@ -512,7 +579,7 @@ class TestProcworkerPropagation:
         ]
         outcomes = _run_batch(
             [work_to_wire(item, None) for item in items],
-            lru=None, kernel="fast", metrics=metrics, spans=spans,
+            lru=None, metrics=metrics, spans=spans,
             span_name="shard0.batch",
         )
         assert [status for status, _ in outcomes] == ["ok", "ok"]
@@ -526,7 +593,7 @@ class TestProcworkerPropagation:
     def test_result_frame_carries_metrics_and_spans(self):
         from repro.service.procworker import WorkerProc, work_to_wire
 
-        worker = WorkerProc(0, kernel="fast", max_instances=4)
+        worker = WorkerProc(0, max_instances=4)
         worker.start()
         try:
             item = SolveRequest(instance=fresh(TINY)).to_item()

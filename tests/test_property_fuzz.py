@@ -104,18 +104,18 @@ def test_fuzz_seeded(seed, m):
 
 
 # --------------------------------------------------------------------------- #
-# cross-instance micro-batches: xbatch lockstep vs the sequential engine
+# cross-instance micro-batches: fast vs fraction kernel through solve_batch
 # --------------------------------------------------------------------------- #
 
 
 def _check_cross_instance_case(seed: int) -> None:
-    """One heterogeneous micro-batch, solved both ways — bit-identical.
+    """One heterogeneous micro-batch, solved on both kernels — bit-identical.
 
     The strategy draws a batch like a service shard would see: several
     distinct instances (different m / c / values), mixed variants and
     algorithms, some bounds-only, some heterogeneous ``eps``.  The
-    xbatch lockstep coordinator must reproduce the sequential engine's
-    output field for field (placements included).
+    fast-kernel batch engine must reproduce the Fraction oracle's output
+    field for field (placements included).
     """
     from repro.algos.batch_api import BatchItem, solve_batch
 
@@ -133,8 +133,8 @@ def _check_cross_instance_case(seed: int) -> None:
             schedules=rng.random() < 0.5,
         ))
     tag = f"seed={seed}"
-    ref = solve_batch(items, xbatch=False)
-    got = solve_batch(items, xbatch=True)
+    ref = solve_batch(items, kernel="fraction")
+    got = solve_batch(items)
     assert len(got) == len(ref), tag
     for item, g, r in zip(items, got, ref):
         if not item.schedules:
@@ -201,7 +201,7 @@ def test_fuzz_armed_tracing_invisible(seed, m):
 
 
 def _check_armed_cross_instance_case(seed: int) -> None:
-    """xbatch lockstep under an armed TraceScope — same bits as disarmed."""
+    """A micro-batch under an armed TraceScope — same bits as disarmed."""
     from repro.algos.batch_api import BatchItem, solve_batch
     from repro.obs.trace import TraceScope
 
@@ -215,9 +215,9 @@ def _check_armed_cross_instance_case(seed: int) -> None:
             schedules=rng.random() < 0.5,
         ))
     tag = f"seed={seed}"
-    bare = solve_batch(items, xbatch=True)
+    bare = solve_batch(items)
     with TraceScope(f"fuzz-x-{seed}") as scope:
-        armed = solve_batch(items, xbatch=True)
+        armed = solve_batch(items)
     assert scope.counts, tag
     for item, a, b in zip(items, armed, bare):
         if not item.schedules:

@@ -284,13 +284,6 @@ class TestUpFrontValidation:
         with pytest.raises(ValueError, match="unknown variant 'wat'"):
             solve_batch(items)
 
-    def test_solve_batch_forced_grid_rejects_schedule_items(self, tiny):
-        # same loud-failure contract as sweep_machines/solve_many
-        with pytest.raises(ValueError, match="bounds-only"):
-            solve_batch([BatchItem(tiny)], use_grid=True)
-        with pytest.raises(ValueError, match="bounds-only"):
-            solve_batch([BatchItem(tiny, ms=(2, 3))], use_grid=True)
-
 
 class TestSolveBatch:
     def test_heterogeneous_batch_matches_looped_solve(self):
@@ -658,8 +651,17 @@ class TestServiceEngine:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="shards"):
             ServiceConfig(shards=0)
-        with pytest.raises(ValueError, match="unknown kernel"):
-            ServiceConfig(kernel="quick")
+
+    @pytest.mark.parametrize("knob", ["kernel", "xbatch"])
+    def test_solver_tier_knobs_are_not_service_options(self, knob):
+        # Shards always solve on the fast kernel, one item at a time; the
+        # Fraction tier is a library oracle, not a deployment option.
+        from repro.service.__main__ import build_parser
+
+        with pytest.raises(TypeError, match=knob):
+            ServiceConfig(**{knob: "fast"})
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([f"--{knob}", "fast"])
 
     @pytest.mark.parametrize(
         "kwargs, match",
@@ -686,27 +688,6 @@ class TestServiceEngine:
         assert config.max_restarts == 0  # 0 = never restart, fail immediately
         assert config.restart_backoff == 0
 
-    def test_xbatch_knob_validation(self):
-        assert ServiceConfig(xbatch=True).xbatch is True
-        assert ServiceConfig().xbatch is False
-        with pytest.raises(ValueError, match="xbatch"):
-            ServiceConfig(xbatch="yes")
-        with pytest.raises(ValueError, match="xbatch"):
-            ServiceConfig(xbatch=1)
-
-    def test_xbatch_service_bit_identical(self):
-        # The same burst through a fused-dispatch service: every response
-        # must match the sequential reference exactly.
-        reqs = self.mixed_requests()
-        results, stats = run_service(
-            reqs,
-            ServiceConfig(shards=2, max_batch=8, max_instances=3, xbatch=True),
-        )
-        assert len(results) == len(reqs)
-        for req, result in zip(reqs, results):
-            assert_matches_reference(req, result)
-        assert stats.requests == len(reqs)
-
 
 class TestServiceFuzz:
     """Seeded async fuzz: random interleavings, bit-identical responses.
@@ -721,7 +702,14 @@ class TestServiceFuzz:
 
     POOL_SEEDS = (11, 12, 13)
 
-    def pool(self) -> list[Instance]:
+    def pool(self, shape: str) -> list[Instance]:
+        if shape == "wide":
+            # c = 64: bounds-only split/pmtn flip searches on these take
+            # the grid tier (where numpy is importable)
+            return [
+                uniform_instance(m=60 + s % 8, c=64, n_per_class=1, tmax=20, seed=s)
+                for s in self.POOL_SEEDS[:2]
+            ]
         pool = [
             uniform_instance(m=3 + s % 3, c=2 + s % 4, n_per_class=3, seed=s)
             for s in self.POOL_SEEDS
@@ -729,24 +717,23 @@ class TestServiceFuzz:
         pool.extend(inst for _, inst in small_exact_suite()[:2])
         return pool
 
-    @pytest.mark.parametrize("xbatch", [False, True])
+    @pytest.mark.parametrize("shape", ["narrow", "wide"])
     @pytest.mark.parametrize("workers", ["thread", "process"])
     @pytest.mark.parametrize("seed", range(4))
-    def test_random_interleavings(self, seed, workers, xbatch):
-        # Same seeds, both backends, fused and sequential dispatch:
-        # responses must be bit-identical to the sequential reference
-        # whether the shard solves in a thread or in a supervised child
-        # process (the wire round-trip included), and whether each
-        # micro-batch runs the lockstep coordinator or the plain loop.
+    def test_random_interleavings(self, seed, workers, shape):
+        # Same seeds, both backends, both search tiers: responses must be
+        # bit-identical to the sequential reference whether the shard
+        # solves in a thread or in a supervised child process (the wire
+        # round-trip included), and whether an item's flip search probes
+        # scalar or on the grid.
         rng = random.Random(1000 + seed)
-        pool = self.pool()
+        pool = self.pool(shape)
         config = ServiceConfig(
             shards=rng.randint(1, 4),
             max_batch=rng.randint(1, 8),
             max_inflight=rng.randint(2, 32),
             max_instances=rng.randint(1, 3),
             workers=workers,
-            xbatch=xbatch,
         )
         reqs = []
         for k in range(rng.randint(12, 28)):
@@ -804,7 +791,7 @@ class TestWireFuzz:
     @pytest.mark.parametrize("seed", range(3))
     def test_solve_lines_byte_identical(self, seed, workers):
         rng = random.Random(2000 + seed)
-        pool = TestServiceFuzz().pool() + [BIGINT]
+        pool = TestServiceFuzz().pool("narrow") + [BIGINT]
         config = ServiceConfig(
             shards=rng.randint(1, 3),
             max_batch=rng.randint(1, 8),
@@ -891,7 +878,7 @@ class TestEncodeFailureIsolation:
         wire.append(procworker.work_to_wire(items[-1], None))
         metrics = Metrics()
         outcomes = procworker._run_batch(
-            wire, lru=None, kernel="fast", metrics=metrics
+            wire, lru=None, metrics=metrics
         )
         assert [o[0] for o in outcomes] == ["ok", "ok", "err", "ok"]
         assert outcomes[2] == ("err", "internal", "internal error", False)
@@ -902,13 +889,12 @@ class TestEncodeFailureIsolation:
         assert stages["solve"]["count"] == 4
 
 
-class TestXbatchTimeout:
-    """A deadline firing inside a fused micro-batch hits only its request.
+class TestMicroBatchTimeout:
+    """A deadline firing inside a micro-batch hits only its request.
 
-    The lockstep coordinator polls each item's token at the same probe
-    boundaries the sequential evaluators do; when one fires, only that
-    item leaves the round and the shard's per-item isolation re-runs the
-    rest — their answers must stay bit-identical.
+    The expired item raises at its next probe boundary; the shard's
+    per-item isolation re-runs the rest of the batch — their answers
+    must stay bit-identical.
     """
 
     @pytest.mark.parametrize("workers", ["thread", "process"])
@@ -921,9 +907,7 @@ class TestXbatchTimeout:
         plan = FaultPlan([DelaySolve(seconds=0.3, after_items=0, times=1)])
 
         async def main():
-            config = ServiceConfig(
-                shards=1, max_batch=8, workers=workers, xbatch=True
-            )
+            config = ServiceConfig(shards=1, max_batch=8, workers=workers)
             async with SolveService(config, faults=plan) as svc:
                 reqs = [
                     SolveRequest(instance=fresh(inst), variant=variant, id=k)
@@ -1040,7 +1024,7 @@ class TestDisconnectFuzz:
     @pytest.mark.parametrize("seed", range(3))
     def test_mid_burst_disconnects(self, seed):
         rng = random.Random(7000 + seed)
-        pool = TestServiceFuzz().pool()
+        pool = TestServiceFuzz().pool("narrow")
         config = ServiceConfig(
             shards=rng.randint(1, 3),
             max_batch=rng.randint(1, 4),
