@@ -125,9 +125,9 @@ def check_metrics_replies(json_reply: dict, prom_reply: dict,
     assert json_reply["ok"] and json_reply["id"] == "metrics"
     metrics = json_reply["metrics"]
     assert sorted(metrics["stages"]) == sorted(
-        ["admission", "queue", "assembly", "solve", "encode", "total"]
+        ["decode", "admission", "queue", "assembly", "solve", "encode", "total"]
     ), f"unexpected stage set: {sorted(metrics['stages'])}"
-    for stage in ("admission", "queue", "solve", "total"):
+    for stage in ("decode", "admission", "queue", "solve", "total"):
         hist = metrics["stages"][stage]
         assert hist["count"] == n_requests, (
             f"stage {stage}: observed {hist['count']} of {n_requests} requests"

@@ -429,12 +429,11 @@ def pmtn_probe_evaluator(
     """Kernel dispatch for :func:`flip_plan_pmtn` probe requests.
 
     Base-core accepts ("accept"/"accept_block", kind ``pmtn_base``) poll
-    cancellation at the probe boundary like the former MemoAccept;
-    "verdict" requests — the γ-test probes of the scan and the raw
-    constant-piece core reads — mirror the sequential code, which never
-    polled on them.  The fraction branch is the pair→Fraction boundary;
-    its integral loads come back coerced to int so the plan stays on
-    pairs.
+    cancellation at the probe boundary; "verdict" requests — the γ-test
+    probes of the scan and the raw constant-piece core reads — mirror
+    the sequential code, which never polled on them.  The fraction
+    branch is the pair→Fraction boundary; its integral loads come back
+    coerced to int so the plan stays on pairs.
     """
     grid_fn = batchdual.grid_accept_pairs_fn(ctx, "pmtn_base") if grid else None
 

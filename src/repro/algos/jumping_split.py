@@ -128,8 +128,8 @@ def split_probe_evaluator(
     """Kernel dispatch for :func:`flip_plan_splittable` probe requests.
 
     "accept"/"accept_block" requests poll cancellation at the probe
-    boundary (the MemoAccept contract); "verdict" requests mirror the raw
-    ``core()`` calls of the step-9 case analysis, which never polled.
+    boundary; "verdict" requests mirror the raw ``core()`` calls of the
+    step-9 case analysis, which never polled.
     The fraction branch is the pair→Fraction boundary: each probed pair
     is rebuilt for the reference test (integral loads come back coerced
     to int so the plan's case analysis stays on pairs).

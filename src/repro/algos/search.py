@@ -34,11 +34,11 @@ Two batching hooks sit on top of that contract:
   :mod:`repro.core.batchdual` — and locates the flip by scanning the
   returned bits.  For the monotone accept predicates all searches here
   are built on, the result is identical to the sequential bisection.
-* :class:`MemoAccept` deduplicates repeated probes of the same ``T``
-  (keyed on the gcd-normalized ``(numerator, denominator)`` pair, so
-  equal rationals written in different forms can never double-probe):
-  the multi-phase flip searches re-test interval endpoints across
-  phases, and a machine sweep re-uses each phase's frontier — with the
+* :func:`plan_accept` / :func:`plan_accept_block` deduplicate repeated
+  probes of the same ``T`` through the plan's memo (keyed on the
+  gcd-normalized ``(numerator, denominator)`` pair, so equal rationals
+  written in different forms can never double-probe): the multi-phase
+  flip searches re-test interval endpoints across phases — with the
   memo each distinct ``T`` hits the kernel once.
 
 Since PR 9 the probe *plans* themselves run on the scaled-integer tier:
@@ -83,7 +83,6 @@ from ..obs.trace import count as obs_count, count_probe as obs_count_probe
 
 AcceptFn = Callable[[Time], bool]
 BuildFn = Callable[[Time], Schedule]
-GridAcceptFn = Callable[[Sequence[Time]], Sequence[bool]]
 
 #: A normalized ``(num, den)`` rational — the plan tier's number type.
 Pair = tuple[int, int]
@@ -111,11 +110,10 @@ _MISSING = object()
 # tests/test_plans.py pins.
 #
 # Division of labour: plans own probe *memoization* (only cache misses are
-# yielded — mirroring MemoAccept / wrap_grid) and the ``accept_calls``
-# bookkeeping; evaluators own kernel dispatch and the cancellation poll
-# (one check_cancelled per "accept"/"accept_block" request — "verdict"
-# requests mirror the raw core()/probe() calls of the sequential code,
-# which never polled).
+# yielded) and the ``accept_calls`` bookkeeping; evaluators own kernel
+# dispatch and the cancellation poll (one check_cancelled per
+# "accept"/"accept_block" request — "verdict" requests mirror the raw
+# core()/probe() calls of the sequential code, which never polled).
 
 
 class ProbeRequest(NamedTuple):
@@ -159,7 +157,7 @@ def drive_plan(plan, evaluate):
 
 
 def plan_accept(memo, counted, kind, mode, T: Pair):
-    """Memoized scalar accept probe (the MemoAccept protocol as a plan).
+    """Memoized scalar accept probe: only a memo miss is yielded.
 
     Keys are gcd-normalized, so a caller handing in an unreduced pair
     still shares its memo entry with the canonical form.
@@ -178,7 +176,7 @@ def plan_accept(memo, counted, kind, mode, T: Pair):
 
 
 def plan_accept_block(memo, counted, kind, mode, cands: Sequence[Pair]):
-    """Grid-block accept sharing the plan's memo (the wrap_grid protocol)."""
+    """Grid-block accept sharing the plan's memo (misses go out as one block)."""
     keys = [norm_pair(*T) for T in cands]
     unknown = [T for T in keys if memo.get(T, _MISSING) is _MISSING]
     if len(unknown) < len(keys):
@@ -275,72 +273,6 @@ def integer_probe_plan(tmin: TimeLike, kind: str):
             lo = mid
     # hi accepted, hi−1 rejected ⟹ OPT > hi−1 ⟹ OPT ≥ hi (integrality).
     return (hi, 1), calls
-
-
-class MemoAccept:
-    """Memoized ``accept(T)`` keyed on the normalized ``(num, den)`` pair.
-
-    Keys are gcd-reduced (:func:`repro.core.fastnum.norm_pair`), so two
-    representations of the same rational — e.g. a hand-built ``4/8``
-    against the canonical ``1/2`` — share one cache entry and can never
-    double-probe the kernel.  ``calls`` counts *distinct* dual-test
-    evaluations (cache hits are free), which is what the
-    ``accept_calls`` bookkeeping of the search results reports.
-    ``seed``/``wrap_grid`` let a grid evaluator share the same cache, so
-    scalar re-probes of grid-evaluated candidates cost nothing.
-    """
-
-    __slots__ = ("fn", "cache", "calls")
-
-    def __init__(self, fn: AcceptFn) -> None:
-        self.fn = fn
-        self.cache: dict[tuple[int, int], bool] = {}
-        self.calls = 0
-
-    def __call__(self, T: Time) -> bool:
-        key = norm_pair(T.numerator, T.denominator)
-        hit = self.cache.get(key, _MISSING)
-        if hit is not _MISSING:
-            obs_count("memo.hit")
-            return hit  # type: ignore[return-value]
-        check_cancelled()  # probe boundary: no partial state to unwind
-        self.calls += 1
-        obs_count("memo.call")
-        verdict = self.fn(T)
-        self.cache[key] = verdict
-        return verdict
-
-    def seed(self, T: Time, verdict: bool) -> None:
-        """Record an externally computed verdict (e.g. from a grid call)."""
-        self.cache[norm_pair(T.numerator, T.denominator)] = verdict
-
-    def wrap_grid(self, grid_accept: GridAcceptFn) -> GridAcceptFn:
-        """A grid evaluator that shares this memo's cache.
-
-        Already-known candidates are answered from the cache; the rest go
-        to ``grid_accept`` in one call, and their verdicts are seeded
-        back (counted in ``calls``).
-        """
-
-        def evaluate(cands: Sequence[Time]) -> list[bool]:
-            cache = self.cache
-            keys = [norm_pair(T.numerator, T.denominator) for T in cands]
-            unknown = [
-                (T, key) for T, key in zip(cands, keys)
-                if cache.get(key, _MISSING) is _MISSING
-            ]
-            if len(unknown) < len(keys):
-                obs_count("memo.hit", len(keys) - len(unknown))
-            if unknown:
-                check_cancelled()
-                fresh = grid_accept([T for T, _ in unknown])
-                self.calls += len(unknown)
-                obs_count("memo.call", len(unknown))
-                for (_, key), verdict in zip(unknown, fresh):
-                    cache[key] = bool(verdict)
-            return [cache[key] for key in keys]
-
-        return evaluate
 
 
 @dataclass(frozen=True)
@@ -453,8 +385,8 @@ def right_interval_bisect(
         raise ValueError("candidates[0] must be rejected")
     if not last_accepted and not accept(candidates[-1]):
         raise ValueError("candidates[-1] must be accepted")
-    # Fresh plan-local memo: a caller's MemoAccept still deduplicates
-    # across phases, so counting is unchanged.
+    # Fresh plan-local memo: a memoizing ``accept`` supplied by the
+    # caller still deduplicates across phases, so counting is unchanged.
     plan = right_interval_plan(
         [as_pair(T) for T in candidates], {}, [0], "", "", grid=False
     )

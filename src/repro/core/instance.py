@@ -374,6 +374,39 @@ class Instance:
         """
         if not share_caches:
             return Instance(m=m, setups=self.setups, jobs=self.jobs)
+        inst = self._copy_validated(m)
+        put = object.__setattr__
+        for name in ("_jobs_frac_cache", "_jobs_sorted_cache", "_misc_cache"):
+            put(inst, name, getattr(self, name))
+        ctx = self._fast_ctx
+        put(inst, "_fast_ctx", None if ctx is None else ctx.for_m(m, inst))
+        return inst
+
+    def fresh_copy(self, m: int) -> "Instance":
+        """An independent copy on ``m`` machines, with empty lazy caches.
+
+        Like :meth:`with_machines` with ``share_caches=True`` this skips
+        validation and aggregate computation (O(c) field copies of this
+        already-validated instance's immutable tuples), but the copy
+        shares *no* cache with this instance: its view caches start
+        empty and it has no fast-kernel context, so releasing either
+        instance's caches never touches the other.  Only the content
+        fingerprint carries over (when already computed), since it
+        depends on ``(setups, jobs)`` alone.  This is the primitive
+        behind the service's loop-side instance table
+        (:class:`repro.service.cache.InstanceIntern`).
+        """
+        inst = self._copy_validated(m)
+        put = object.__setattr__
+        put(inst, "_jobs_frac_cache", {})
+        put(inst, "_jobs_sorted_cache", {})
+        fingerprint = self._misc_cache.get("fingerprint")
+        put(inst, "_misc_cache", {} if fingerprint is None else {"fingerprint": fingerprint})
+        put(inst, "_fast_ctx", None)
+        return inst
+
+    def _copy_validated(self, m: int) -> "Instance":
+        """A bare copy on ``m`` machines: validated fields only, no caches."""
         if not isinstance(m, int) or m < 1:
             raise InvalidInstanceError(f"m must be a positive integer, got {m!r}")
         inst = object.__new__(Instance)
@@ -382,11 +415,8 @@ class Instance:
         for name in (
             "setups", "jobs", "class_processing", "class_tmax", "class_sizes",
             "n", "total_processing", "total_load", "smax", "tmax",
-            "_jobs_frac_cache", "_jobs_sorted_cache", "_misc_cache",
         ):
             put(inst, name, getattr(self, name))
-        ctx = self._fast_ctx
-        put(inst, "_fast_ctx", None if ctx is None else ctx.for_m(m, inst))
         return inst
 
 

@@ -41,11 +41,14 @@ __all__ = [
     "render_prometheus",
 ]
 
-#: Request lifecycle stages, in journey order.  ``total`` is submit ->
-#: result (queue + assembly + solve inclusive).  ``encode`` is observed
-#: by the shard worker or child that solved a wire request, right after
-#: the solve and so inside ``total``; the in-process API never encodes.
-STAGES = ("admission", "queue", "assembly", "solve", "encode", "total")
+#: Request lifecycle stages, in journey order.  ``decode`` is the event
+#: loop's JSON parse, request validation and fingerprint of a wire
+#: request, before submit and so outside ``total``.  ``total`` is submit
+#: -> result (queue + assembly + solve inclusive).  ``encode`` is
+#: observed by the shard worker or child that solved a wire request,
+#: right after the solve and so inside ``total``; the in-process API
+#: never decodes or encodes.
+STAGES = ("decode", "admission", "queue", "assembly", "solve", "encode", "total")
 
 
 class Histogram:

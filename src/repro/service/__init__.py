@@ -24,6 +24,10 @@ subsystem turns the :mod:`repro.algos.batch_api` engine into a service:
   tables bound the warm set (``max_instances`` per shard); evicted
   representatives hand their memory back through
   :meth:`~repro.core.instance.Instance.release_caches`.
+* **Decode once** — the event loop keeps a
+  :class:`~repro.service.cache.InstanceIntern` table of validated wire
+  instances (``shards × max_instances`` entries, keyed by exact int
+  content), so a repeat instance skips re-validation and re-hashing.
 * **Backpressure** — a global ``max_inflight`` admission semaphore
   bounds the dispatch pipeline, the JSON-lines front ends apply the
   same window per connection, and each shard sheds work beyond its

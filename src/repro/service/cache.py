@@ -11,17 +11,24 @@ least-recently-used representative *and releases its caches*
 (:meth:`~repro.core.instance.Instance.release_caches`, which clears the
 shared view dicts in place and drops the fast-kernel context with its
 numpy scratch).
+
+:class:`InstanceIntern` is the event loop's counterpart: a bounded table
+of *validated* wire instances keyed by their exact content, so a repeat
+request skips per-element validation, aggregate sums and re-hashing.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import chain
+from operator import countOf
 from typing import Optional
 
 from ..core.instance import Instance
+from .protocol import instance_from_obj
 
-__all__ = ["InstanceLRU", "LRUStats"]
+__all__ = ["InstanceIntern", "InstanceLRU", "LRUStats"]
 
 
 @dataclass(frozen=True)
@@ -102,6 +109,93 @@ class InstanceLRU:
             _, evicted = self._table.popitem(last=False)
             evicted.release_caches()
             self._evictions += 1
+
+    def stats(self) -> LRUStats:
+        return LRUStats(
+            entries=len(self._table),
+            peak_entries=self._peak,
+            hits=self._hits,
+            misses=self._misses,
+            evictions=self._evictions,
+            max_entries=self.max_entries,
+        )
+
+
+def _intern_key(obj) -> Optional[tuple]:
+    """The exact-content key of a wire instance object, or ``None``.
+
+    Keyed only when every value is *exactly* an ``int`` (checked at C
+    speed): ``True == 1`` and ``1.0 == 1`` hash equal, so a looser key
+    would let a request that must be rejected hit a validated entry.
+    ``None`` means "decode it the normal way"; it never means invalid.
+    """
+    if type(obj) is not dict:
+        return None
+    m = obj.get("m")
+    setups = obj.get("setups")
+    jobs = obj.get("jobs")
+    if (
+        type(m) is not int or m < 1
+        or type(setups) is not list or type(jobs) is not list
+        or countOf(map(type, jobs), list) != len(jobs)
+    ):
+        return None
+    size = len(setups) + sum(map(len, jobs))
+    if countOf(map(type, chain(setups, chain.from_iterable(jobs))), int) != size:
+        return None
+    return tuple(setups), tuple(map(tuple, jobs))
+
+
+class InstanceIntern:
+    """Bounded ``(setups, jobs) → validated Instance`` table for wire decode.
+
+    :meth:`decode` is a drop-in for
+    :func:`~repro.service.protocol.instance_from_obj`.  A miss (or an
+    object :func:`_intern_key` declines) runs that function unchanged, so
+    every rejection and its message are its own; a valid keyed miss is
+    then admitted as a cache-free :meth:`~repro.core.instance.Instance.
+    fresh_copy` template whose tuples *are* the decoded instance's (no
+    second copy of the data).  A hit returns a fresh copy of the
+    template at the request's ``m``: no per-element validation, no
+    aggregate sums, and the fingerprint pre-seeded, so shard routing
+    reads the same digest without re-hashing.  No ``Instance`` is ever
+    handed to two requests, so shard-side cache release can never reach
+    another request's object.
+
+    Not thread-safe by design: only the event loop decodes.  Least
+    recently used entries are dropped past ``max_entries``.
+    """
+
+    def __init__(self, max_entries: int) -> None:
+        if max_entries < 1:
+            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
+        self.max_entries = max_entries
+        self._table: OrderedDict[tuple, Instance] = OrderedDict()
+        self._hits = 0
+        self._misses = 0
+        self._evictions = 0
+        self._peak = 0
+
+    def decode(self, obj) -> Instance:
+        key = _intern_key(obj)
+        if key is None:
+            return instance_from_obj(obj)
+        table = self._table
+        template = table.get(key)
+        if template is not None:
+            self._hits += 1
+            table.move_to_end(key)
+            return template.fresh_copy(obj["m"])
+        self._misses += 1
+        instance = instance_from_obj(obj)
+        instance.fingerprint()  # seeded into the template below
+        template = instance.fresh_copy(instance.m)
+        while len(table) >= self.max_entries:
+            table.popitem(last=False)
+            self._evictions += 1
+        table[template.setups, template.jobs] = template
+        self._peak = max(self._peak, len(table))
+        return instance
 
     def stats(self) -> LRUStats:
         return LRUStats(

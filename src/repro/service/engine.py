@@ -19,7 +19,9 @@ Guarantees:
   and each shard additionally bounds its queue (``queue_bound``),
   shedding overflow with a retryable ``overloaded`` error.
 * **Bounded memory** — each shard's warm-instance table is an LRU of
-  ``max_instances`` entries with release-on-evict.
+  ``max_instances`` entries with release-on-evict; the loop-side table
+  of validated wire instances (:meth:`SolveService.decode`) holds at
+  most ``shards × max_instances``.
 * **Bounded time** — a request with ``timeout_ms`` set resolves within
   its deadline (plus one probe) or fails with a ``timeout`` error; the
   deadline clock starts at admission, so it covers queueing as well as
@@ -44,8 +46,9 @@ from ..algos.batch_api import _validate_request
 from ..core.cancel import CancelToken
 from ..obs.metrics import Metrics, RequestTimes
 from ..obs.trace import TraceWriter
+from .cache import InstanceIntern
 from .faults import FaultPlan
-from .protocol import ServiceError, SolveRequest
+from .protocol import ServiceError, SolveRequest, request_from_obj
 from .shards import ProcessShard, Shard, ShardStats, _Work, shard_index
 
 __all__ = ["ServiceConfig", "ServiceStats", "SolveService"]
@@ -171,6 +174,10 @@ class ServiceStats:
     degraded_shards: tuple[int, ...]  # failed shard indices serving reroutes
     queue_depth: int           # Σ per-shard pending queue depths (now)
     inflight: int              # admitted-but-unanswered requests (now)
+    intern_hits: int           # wire decodes served by the instance table
+    intern_misses: int         # keyed wire decodes that validated afresh
+    interned: int              # validated instances in the table (now)
+    max_interned: int          # table bound: shards × per-shard bound
     shards: tuple[ShardStats, ...]
 
     def to_obj(self) -> dict:
@@ -196,6 +203,10 @@ class ServiceStats:
             "degraded_shards": list(self.degraded_shards),
             "queue_depth": self.queue_depth,
             "inflight": self.inflight,
+            "intern_hits": self.intern_hits,
+            "intern_misses": self.intern_misses,
+            "interned": self.interned,
+            "max_interned": self.max_interned,
             "shards": [
                 {
                     "index": s.index,
@@ -246,10 +257,15 @@ class SolveService:
                  trace: Optional[TraceWriter] = None) -> None:
         self.config = config or ServiceConfig()
         self.faults = faults
-        # Loop-thread-writer metrics (admission/total).  Shard workers
-        # own queue/assembly/solve/encode and the solver counters;
-        # metrics_obj() merges everything.
+        # Loop-thread-writer metrics (decode/admission/total).  Shard
+        # workers own queue/assembly/solve/encode and the solver
+        # counters; metrics_obj() merges everything.
         self._metrics = Metrics()
+        # Validated wire instances, sized to the warm set the shard LRUs
+        # can hold; only the loop thread (decode) touches it.
+        self._interned = InstanceIntern(
+            self.config.shards * self.config.max_instances
+        )
         shard_kwargs = dict(
             max_batch=self.config.max_batch,
             max_instances=self.config.max_instances,
@@ -318,6 +334,24 @@ class SolveService:
     # ------------------------------------------------------------------ #
     # submission
     # ------------------------------------------------------------------ #
+
+    def decode(self, obj, parse_s: float) -> SolveRequest:
+        """One wire ``op: solve`` object as a validated request.
+
+        :func:`~repro.service.protocol.request_from_obj` through the
+        service's table of validated instances, so a repeat instance
+        skips re-validation and re-hashing; verdicts and error messages
+        are unchanged.  The routing fingerprint is computed here too.
+        The ``decode`` stage observes this call plus ``parse_s``, the
+        caller's JSON parse time, whether or not the request is valid.
+        """
+        start = time.monotonic()
+        try:
+            request = request_from_obj(obj, self._interned)
+            request.instance.fingerprint()
+            return request
+        finally:
+            self._metrics.observe("decode", parse_s + time.monotonic() - start)
 
     async def submit(self, request: SolveRequest):
         """Solve one request (validated now, dispatched under backpressure).
@@ -436,6 +470,7 @@ class SolveService:
 
     def stats(self) -> ServiceStats:
         shard_stats = tuple(shard.stats() for shard in self._shards)
+        interned = self._interned.stats()
         return ServiceStats(
             requests=sum(s.requests for s in shard_stats),
             batches=sum(s.batches for s in shard_stats),
@@ -457,13 +492,17 @@ class SolveService:
             degraded_shards=tuple(s.index for s in shard_stats if s.failed),
             queue_depth=sum(s.queue_depth for s in shard_stats),
             inflight=self._inflight,
+            intern_hits=interned.hits,
+            intern_misses=interned.misses,
+            interned=interned.entries,
+            max_interned=interned.max_entries,
             shards=shard_stats,
         )
 
     def metrics_obj(self) -> dict:
         """One mergeable metrics snapshot for the whole service.
 
-        Loop-side admission/total merged with every shard's
+        Loop-side decode/admission/total merged with every shard's
         queue/assembly/solve/encode histograms and solver counters —
         identical shape on both worker backends (the process backend's
         solve and encode stages and counters ride home on result frames; see

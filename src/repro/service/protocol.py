@@ -280,12 +280,15 @@ class SolveRequest:
         )
 
 
-def request_from_obj(obj) -> SolveRequest:
+def request_from_obj(obj, interned=None) -> SolveRequest:
     """Parse and validate one ``op: solve`` request object.
 
     Everything checked here raises :class:`ProtocolError` (malformed
     JSON shapes) or ``ValueError`` (bad variant/algorithm names, via the
     batch engine's up-front validation) before any solving starts.
+    ``interned`` (the service's :class:`~repro.service.cache.
+    InstanceIntern`) decodes the instance through its table of already
+    validated instances; verdicts and messages are the same either way.
     """
     if not isinstance(obj, dict):
         raise ProtocolError(f"request must be a JSON object, got {obj!r}")
@@ -297,7 +300,8 @@ def request_from_obj(obj) -> SolveRequest:
         raise ProtocolError(f"unknown request fields: {sorted(unknown)}")
     if "instance" not in obj:
         raise ProtocolError("solve request needs an 'instance' field")
-    instance = instance_from_obj(obj["instance"])
+    decode = instance_from_obj if interned is None else interned.decode
+    instance = decode(obj["instance"])
 
     schedules = obj.get("schedules")
     bounds_only = obj.get("bounds_only")

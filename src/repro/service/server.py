@@ -2,7 +2,9 @@
 
 Both transports speak the :mod:`repro.service.protocol` line protocol
 and share the connection handler: requests are parsed in arrival order,
-dispatched concurrently through :meth:`SolveService.submit_wire` (the
+decoded through :meth:`SolveService.decode` (which serves repeat
+instances from its table of validated ones), dispatched concurrently
+through :meth:`SolveService.submit_wire` (the
 shard worker that solves a request also encodes its results, so the
 loop only splices the id in), and the responses are written back **in
 request order** (a writer coroutine drains a FIFO of response futures)
@@ -32,6 +34,7 @@ import asyncio
 import json
 import logging
 import sys
+import time
 from typing import Awaitable, Callable, Optional
 
 from .engine import SolveService
@@ -41,7 +44,6 @@ from .protocol import (
     ServiceError,
     error_line,
     metrics_line,
-    request_from_obj,
     splice_response,
 )
 
@@ -103,10 +105,10 @@ async def handle_lines(
                 # forever once max_inflight requests are outstanding.
                 window.release()
 
-    async def solve_one(obj: dict) -> str:
+    async def solve_one(obj: dict, parse_s: float) -> str:
         request_id = obj.get("id") if isinstance(obj, dict) else None
         try:
-            request = request_from_obj(obj)
+            request = service.decode(obj, parse_s)
             # The shard worker that solved the request encoded it too:
             # the loop only splices the id around the results fragment.
             return splice_response(request.id, await service.submit_wire(request))
@@ -157,7 +159,9 @@ async def handle_lines(
                 acquired.cancel()
                 break
             try:
+                parse_start = time.monotonic()
                 obj = json.loads(raw)
+                parse_s = time.monotonic() - parse_start
             except json.JSONDecodeError as exc:
                 responses.put_nowait(asyncio.ensure_future(immediate(
                     error_line(None, ServiceError.bad_request(f"bad JSON: {exc}"))
@@ -198,7 +202,7 @@ async def handle_lines(
                 shutdown = True
                 break
             elif op == "solve":
-                responses.put_nowait(asyncio.create_task(solve_one(obj)))
+                responses.put_nowait(asyncio.create_task(solve_one(obj, parse_s)))
             else:
                 responses.put_nowait(asyncio.ensure_future(immediate(
                     error_line(request_id, ServiceError.bad_request(f"unknown op {op!r}"))

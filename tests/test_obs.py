@@ -520,6 +520,7 @@ class TestMetricsWireOp:
         assert replies[0]["ok"]
         metrics = replies[1]["metrics"]
         assert sorted(metrics["stages"]) == sorted(STAGES)
+        assert metrics["stages"]["decode"]["count"] == 1
         assert metrics["stages"]["solve"]["count"] == 1
         assert metrics["stages"]["encode"]["count"] == 1
         assert "repro_stage_seconds" in replies[2]["metrics_text"]
@@ -530,6 +531,7 @@ class TestMetricsWireOp:
         # The worker (thread) or child (process) that solved a wire
         # request also encoded it: one "encode" observation per solve
         # response, none for the loop, identical shapes either way.
+        # The loop decodes every solve line, the rejected one included.
         from repro.service.protocol import instance_to_obj
 
         lines = []
@@ -551,6 +553,7 @@ class TestMetricsWireOp:
             solved = sum(1 for r in replies[:-1] if r["ok"])
             assert solved == 10
             stages = metrics["stages"]
+            assert stages["decode"]["count"] == len(lines) - 1, workers
             assert stages["encode"]["count"] == solved, workers
             assert stages["solve"]["count"] == solved, workers
             assert stages["total"]["count"] == solved, workers

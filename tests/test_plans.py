@@ -277,43 +277,6 @@ class TestMemoNormalization:
     """Memo keys are gcd-reduced, so unnormalized inputs share cache
     entries with their canonical representations."""
 
-    def test_memo_accept_unnormalized_inputs_hit_cache(self):
-        from types import SimpleNamespace
-
-        from repro.algos.search import MemoAccept
-
-        evaluated = []
-
-        def accept(T):
-            evaluated.append((T.numerator, T.denominator))
-            return Fraction(T.numerator, T.denominator) >= 1
-
-        memo = MemoAccept(accept)
-        assert memo(Fraction(3, 2)) is True
-        # hand-built unnormalized and sign-denormalized representations of 3/2
-        assert memo(SimpleNamespace(numerator=6, denominator=4)) is True
-        assert memo(SimpleNamespace(numerator=-3, denominator=-2)) is True
-        assert memo(Fraction(1, 2)) is False
-        assert memo(SimpleNamespace(numerator=2, denominator=4)) is False
-        assert memo.calls == 2  # one real evaluation per distinct rational
-        assert evaluated == [(3, 2), (1, 2)]
-
-    def test_memo_accept_seed_and_grid_share_normalized_cache(self):
-        from types import SimpleNamespace
-
-        from repro.algos.search import MemoAccept
-
-        memo = MemoAccept(lambda T: pytest.fail("scalar path must not run"))
-        memo.seed(SimpleNamespace(numerator=4, denominator=8), True)
-        assert memo(Fraction(1, 2)) is True
-        grid_calls = []
-        grid = memo.wrap_grid(lambda cands: [grid_calls.append(c) or True for c in cands])
-        # one candidate known (unnormalized alias), one fresh
-        out = grid([SimpleNamespace(numerator=2, denominator=4), Fraction(5, 2)])
-        assert out == [True, True]
-        assert grid_calls == [Fraction(5, 2)]
-        assert memo.calls == 1
-
     def test_plan_accept_normalizes_pairs(self):
         from repro.algos.search import plan_accept
 
@@ -338,6 +301,24 @@ class TestMemoNormalization:
         assert run((3, 2)) == (True, None)
         assert run((-6, -4)) == (True, None)
         assert counted[0] == 1
+
+    def test_plan_accept_block_shares_normalized_memo(self):
+        from repro.algos.search import plan_accept_block
+
+        memo, counted = {(1, 2): True}, [0]  # e.g. left by a scalar probe
+        gen = plan_accept_block(memo, counted, "split", "", [(2, 4), (10, 4)])
+        req = next(gen)
+        # only the unknown rational goes out, in lowest terms
+        assert req.op == "accept_block" and req.times == ((5, 2),)
+        with pytest.raises(StopIteration) as stop:
+            gen.send([False])
+        assert stop.value.value == [True, False]
+        assert counted[0] == 1 and memo == {(1, 2): True, (5, 2): False}
+        # a fully known block yields nothing
+        gen = plan_accept_block(memo, counted, "split", "", [(-1, -2), (5, 2)])
+        with pytest.raises(StopIteration) as stop:
+            next(gen)
+        assert stop.value.value == [True, False] and counted[0] == 1
 
 
 # --------------------------------------------------------------------------- #

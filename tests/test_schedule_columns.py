@@ -382,3 +382,95 @@ class TestRunsAdoption:
         assert isinstance(cols.machine, array)
         assert cols.int_mode
         assert placements_key(sched)  # still readable after compaction
+
+
+def _scan_makespan(sched: Schedule) -> Fraction:
+    """The per-row ``_scan_cache`` answer: the reference the fast path matches."""
+    best = Fraction(0)
+    for d, ends in sched._scan_cache()["ends"].items():
+        for v in ends:
+            if v is not None:
+                best = max(best, Fraction(v, d))
+    return best
+
+
+class TestFastMakespan:
+    """Single-denominator schedules reduce ``start + length`` at C speed
+    (numpy over int64 views, else ``max(map(add, ...))``); every answer
+    equals the per-row scan and the thawed placement-list makespan."""
+
+    def _check(self, sched: Schedule) -> Fraction:
+        got = sched.makespan()
+        assert type(got) is Fraction
+        assert got == _scan_makespan(sched)
+        thawed = Schedule(sched.instance, list(sched.iter_all()))
+        thawed._thaw()
+        assert got == thawed.makespan()
+        return got
+
+    @pytest.mark.parametrize("numpy_tier", [True, False] if HAVE_NUMPY else [False])
+    @pytest.mark.parametrize("inst", SUITE_INSTANCES[::3])
+    def test_single_denominator_solves(self, inst, numpy_tier, monkeypatch):
+        import repro.core.schedule as schedule_mod
+
+        if not numpy_tier:
+            monkeypatch.setattr(schedule_mod, "_np", None)
+        for variant, sched in suite_schedules(inst):
+            cols = sched.columns()
+            if len(cols.dens) == 1:
+                self._check(sched)
+
+    @pytest.mark.parametrize("numpy_tier", [True, False] if HAVE_NUMPY else [False])
+    def test_array_and_list_buffers(self, numpy_tier, monkeypatch):
+        import repro.core.schedule as schedule_mod
+
+        if not numpy_tier:
+            monkeypatch.setattr(schedule_mod, "_np", None)
+        inst = mk(3, (2, [3, 4]), (1, [5]))
+        arrays = Schedule(inst)
+        arrays._columns_for_append().extend_scaled(
+            [0, 1, 2, 0], [0, 4, 2, 9], [4, 7, 3, 1], 2, [0, 0, 1, 1], [-1, 0, -1, 0]
+        )
+        assert not isinstance(arrays.columns().start_num, list)
+        assert self._check(arrays) == Fraction(11, 2)
+        lists = Schedule(inst)
+        lists.extend_runs(TestRunsAdoption()._runs(), 3)
+        assert isinstance(lists.columns().start_num, list)
+        assert self._check(lists) == 3
+
+    def test_mixed_denominators_keep_the_scan(self):
+        inst = mk(2, (2, [3, 4]), (1, [2, 2, 2]))
+        sched = Schedule(inst)
+        sched.add_setup(0, 0, 0)
+        sched.add_piece(1, Fraction(2), JobRef(0, 0), Fraction(3, 2))
+        sched.add_piece(0, Fraction(7, 3), JobRef(0, 1), Fraction(4, 3))
+        assert len(sched.columns().dens) == 3
+        assert self._check(sched) == Fraction(11, 3)
+
+    def test_empty_schedules(self):
+        inst = mk(2, (2, [3]))
+        assert Schedule(inst).makespan() == 0
+        sched = Schedule(inst)
+        sched.extend_runs([], 5)  # a denominator with no rows
+        assert sched.columns().dens == frozenset({5}) and len(sched.columns()) == 0
+        assert sched.makespan() == 0
+
+    @pytest.mark.parametrize("numpy_tier", [True, False] if HAVE_NUMPY else [False])
+    def test_big_int_object_mode(self, numpy_tier, monkeypatch):
+        import repro.core.schedule as schedule_mod
+
+        if not numpy_tier:
+            monkeypatch.setattr(schedule_mod, "_np", None)
+        big = 1 << 70
+        inst = Instance.build(2, [(big, [big, big]), (1, [2]), (3, [big + 1, 5])])
+        for variant in Variant:
+            sched = solve(inst, variant).schedule
+            assert not sched.columns().int_mode
+            assert self._check(sched) >= big
+        # int64 rows at the top of the int_mode range: the sum of a start
+        # and a length still fits int64, so the numpy reduction is exact
+        top = (1 << 62) - 1
+        sched = Schedule(mk(2, (2, [3])))
+        sched._columns_for_append().extend_scaled([0, 1], [top, 0], [top, 1], 1, [0, 0], [-1, 0])
+        assert sched.columns().int_mode
+        assert self._check(sched) == 2 * top

@@ -566,6 +566,169 @@ class TestWireBytes:
 
 
 # --------------------------------------------------------------------------- #
+# the loop-side table of validated instances
+# --------------------------------------------------------------------------- #
+
+#: A valid wire instance; each rejected case below equals it under ``==``
+#: (or differs only where the rejection is), so a table keyed loosely
+#: would hit this warm entry and skip the rejection.
+TWIN = {"m": 2, "setups": [2, 1], "jobs": [[3, 1], [2, 2, 2]]}
+
+#: (instance object, JSON-representable) — every one decodes exactly as
+#: the table-free decoder does: the same error message, or (the IntEnum
+#: cases, which that decoder accepts) an equal instance and fingerprint.
+INTERN_CASES = [
+    pytest.param({**TWIN, "setups": [2, True]}, True, id="setup-bool"),
+    pytest.param({**TWIN, "setups": [2, 1.0]}, True, id="setup-float"),
+    pytest.param({**TWIN, "setups": [2, _Small.ONE]}, False, id="setup-intenum"),
+    pytest.param({**TWIN, "jobs": [[3, True], [2, 2, 2]]}, True, id="job-bool"),
+    pytest.param({**TWIN, "jobs": [[3, 1.0], [2, 2, 2]]}, True, id="job-float"),
+    pytest.param({**TWIN, "jobs": [[3, _Small.ONE], [2, 2, 2]]}, False, id="job-intenum"),
+    pytest.param({**TWIN, "jobs": [[3, 1], 2]}, True, id="class-not-list"),
+    pytest.param({**TWIN, "jobs": [[3, 1], (2, 2, 2)]}, False, id="class-tuple"),
+    pytest.param({**TWIN, "jobs": [[3, 1], []]}, True, id="class-empty"),
+    pytest.param({**TWIN, "jobs": [[3, 0], [2, 2, 2]]}, True, id="job-zero"),
+    pytest.param({**TWIN, "jobs": [[3, -1], [2, 2, 2]]}, True, id="job-negative"),
+    pytest.param({**TWIN, "setups": [-2, 1]}, True, id="setup-negative"),
+    pytest.param({**TWIN, "setups": [2]}, True, id="class-count"),
+    pytest.param({**TWIN, "m": 0}, True, id="m-zero"),
+    pytest.param({**TWIN, "m": -1}, True, id="m-negative"),
+    pytest.param({**TWIN, "m": True}, True, id="m-true"),
+    pytest.param({**TWIN, "m": 1.0}, True, id="m-float"),
+    pytest.param({**TWIN, "m": None}, True, id="m-null"),
+]
+
+
+def decode_outcome(inst_obj, interned=None):
+    """What decoding ``inst_obj`` yields: the error, or the instance's data."""
+    try:
+        inst = request_from_obj({"id": 1, "instance": inst_obj}, interned).instance
+    except (ProtocolError, ValueError) as exc:
+        return "error", type(exc), str(exc)
+    values = [*inst.setups, *(t for ts in inst.jobs for t in ts)]
+    return "ok", inst, list(map(type, values)), inst.fingerprint()
+
+
+class TestInstanceIntern:
+    @pytest.mark.parametrize("inst_obj,wire", INTERN_CASES)
+    def test_decodes_like_the_table_free_decoder(self, inst_obj, wire):
+        from repro.service.cache import InstanceIntern
+
+        want = decode_outcome(inst_obj)
+        table = InstanceIntern(4)
+        assert decode_outcome(inst_obj, table) == want  # cold
+        assert decode_outcome(TWIN, table)[0] == "ok"  # warm the twin
+        assert table.stats().entries == 1
+        for _ in range(2):
+            assert decode_outcome(inst_obj, table) == want  # warm
+        assert table.stats().entries == 1  # nothing but the twin was ever admitted
+        assert decode_outcome(TWIN, table) == decode_outcome(TWIN)
+
+    def test_wire_error_lines_unchanged_warm(self):
+        cases = [p.values[0] for p in INTERN_CASES if p.values[1]]
+        lines = [json.dumps({"id": "twin", "instance": TWIN})]
+        want = []
+        for k, inst_obj in enumerate(cases):
+            outcome = decode_outcome(inst_obj)
+            assert outcome[0] == "error"
+            want.append(error_line(k, ServiceError.bad_request(outcome[2])))
+            lines.append(json.dumps({"id": k, "instance": inst_obj}))
+            lines.append(json.dumps({"id": "twin", "instance": TWIN}))
+        replies = drive_lines(lines, ServiceConfig(shards=2, max_instances=1))
+        assert replies[1::2] == want
+        assert all(json.loads(r)["ok"] for r in replies[::2])
+
+    def test_hits_are_fresh_cache_free_copies(self):
+        from repro.service.cache import InstanceIntern
+
+        inst = medium_suite()[0][1]
+        obj = instance_to_obj(inst)
+        table = InstanceIntern(4)
+        first = table.decode(obj)
+        a = table.decode(obj)
+        b = table.decode({**obj, "m": inst.m + 3})
+        assert table.stats().hits == 2 and table.stats().misses == 1
+        assert len({id(first), id(a), id(b)}) == 3
+        assert a == first == inst and b == fresh(inst, inst.m + 3)
+        # the validated tuples are shared, never copied
+        assert a.setups is first.setups and b.jobs is first.jobs
+        fingerprint = fresh(inst).fingerprint()
+        empty = {"frac_views": 0, "sorted_views": 0, "misc": 1, "fast_ctx": 0, "batch": 0}
+        for hit in (a, b):
+            assert hit.cache_stats() == empty
+            assert hit._misc_cache == {"fingerprint": fingerprint}
+            assert hit.fingerprint() == fingerprint
+        for name in ("_jobs_frac_cache", "_jobs_sorted_cache", "_misc_cache"):
+            assert len({id(getattr(x, name)) for x in (first, a, b)}) == 3, name
+        # solving (and releasing) one hit never reaches another
+        ref = solve(fresh(inst), Variant.NONPREEMPTIVE)
+        assert_same_solve(solve(a, Variant.NONPREEMPTIVE), ref)
+        assert a.cache_stats()["fast_ctx"] == 1
+        again = table.decode(obj)
+        assert b.cache_stats() == again.cache_stats() == empty
+        a.release_caches()
+        assert b.fingerprint() == fingerprint and again.fingerprint() == fingerprint
+        assert_same_solve(solve(again, Variant.NONPREEMPTIVE), ref)
+
+    def test_bounded_least_recently_used(self):
+        from repro.service.cache import InstanceIntern
+
+        table = InstanceIntern(3)
+        objs = [{"m": 2, "setups": [k + 1], "jobs": [[k + 2, 1]]} for k in range(10)]
+        for obj in objs:
+            table.decode(obj)
+            assert table.stats().entries <= 3
+        stats = table.stats()
+        assert (stats.entries, stats.peak_entries, stats.misses, stats.evictions) == (
+            3, 3, 10, 7)
+        table.decode(objs[-3])  # a hit refreshes recency...
+        table.decode(objs[0])   # ...so this miss evicts objs[-2]
+        table.decode(objs[-3])
+        table.decode(objs[-2])
+        assert table.stats().hits == 2 and table.stats().misses == 12
+        with pytest.raises(ValueError):
+            InstanceIntern(0)
+
+    def _stats_after(self, lines, config):
+        replies = drive_lines(
+            lines + [json.dumps({"id": "s", "op": "stats"})], config
+        )
+        return replies[:-1], json.loads(replies[-1])["stats"]
+
+    def test_stats_counters_repeat_burst(self):
+        inst = medium_suite()[0][1]
+        objs = [
+            {"id": k, "instance": {**instance_to_obj(inst), "m": 1 + k % 4},
+             "bounds_only": k % 2 == 1}
+            for k in range(8)
+        ]
+        replies, stats = self._stats_after(
+            [json.dumps(o) for o in objs], ServiceConfig(shards=2, max_instances=2)
+        )
+        assert (stats["intern_hits"], stats["intern_misses"]) == (7, 1)
+        assert (stats["interned"], stats["max_interned"]) == (1, 4)
+        for obj, reply in zip(objs, replies):
+            req = request_from_obj(obj)
+            assert reply == response_line(obj["id"], library_answer(req))
+
+    def test_stats_bound_holds_for_distinct_stream(self):
+        lines = []
+        for k in range(9):
+            inst_obj = {"m": 2, "setups": [k + 1, 2], "jobs": [[k + 2, 1], [3]]}
+            lines.append(json.dumps({"id": k, "instance": inst_obj}))
+            lines.append(json.dumps({"id": f"s{k}", "op": "stats"}))
+        replies = drive_lines(lines, ServiceConfig(shards=1, max_instances=3))
+        snapshots = [json.loads(r)["stats"] for r in replies[1::2]]
+        assert all(json.loads(r)["ok"] for r in replies[::2])
+        # decodes run ahead of the in-order stats snapshots, so only the
+        # bound (not each position's count) is deterministic
+        assert all(1 <= s["interned"] <= s["max_interned"] == 3 for s in snapshots)
+        assert snapshots[-1]["interned"] == 3
+        assert snapshots[-1]["intern_misses"] == 9
+        assert snapshots[-1]["intern_hits"] == 0
+
+
+# --------------------------------------------------------------------------- #
 # the service engine
 # --------------------------------------------------------------------------- #
 
