@@ -523,21 +523,6 @@ def _rows_view(col):
     return _np.frombuffer(col, dtype=_np.int64) if len(col) else _np.empty(0, _np.int64)
 
 
-def _max_end(cols: ScheduleColumns) -> int:
-    """``max(start_num + length_num)`` over a non-empty column store.
-
-    One C-speed reduction instead of the per-row :meth:`Schedule.
-    _scan_cache` loop: numpy over the int64 views of ``array('q')``
-    buffers (every value is below 2^62, so the sums fit int64), else
-    ``max(map(add, ...))``, which stays exact on big-int lists.
-    """
-    sn, ln = cols.start_num, cols.length_num
-    if _np is not None and not isinstance(sn, list):
-        ends = _np.frombuffer(sn, dtype=_np.int64) + _np.frombuffer(ln, dtype=_np.int64)
-        return int(ends.max())
-    return max(map(add, sn, ln))
-
-
 class ScheduleRows(NamedTuple):
     """A bulk, read-only row projection of a schedule at one common scale.
 
@@ -962,8 +947,10 @@ class Schedule:
         """``C_max`` — the latest completion time over all machines."""
         cols = self._cols
         if cols is not None and len(cols._dens) == 1 and len(cols):
+            # one common scale: a C-speed reduction instead of the
+            # per-row scan, exact on array('q') buffers and big-int lists
             (den,) = cols._dens
-            return fast_fraction(_max_end(cols), den)
+            return fast_fraction(max(map(add, cols.start_num, cols.length_num)), den)
         if cols is not None:
             sc = self._scan_cache()
             best: Optional[Time] = None

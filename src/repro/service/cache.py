@@ -26,7 +26,7 @@ from operator import countOf
 from typing import Optional
 
 from ..core.instance import Instance
-from .protocol import instance_from_obj
+from .protocol import _checked_instance, instance_from_obj
 
 __all__ = ["InstanceIntern", "InstanceLRU", "LRUStats"]
 
@@ -52,13 +52,21 @@ class InstanceLRU:
     table and is the only thread that touches it (the sharding-by-
     fingerprint invariant).  ``peak_entries`` can never exceed
     ``max_entries`` — eviction happens *before* admission.
+
+    ``max_jobs`` optionally bounds the held instances' total job count
+    ``n`` too (the service shards leave it unset); an instance larger
+    than the whole budget is never admitted.
     """
 
-    def __init__(self, max_entries: int = 8) -> None:
+    def __init__(self, max_entries: int = 8, max_jobs: Optional[int] = None) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
+        if max_jobs is not None and max_jobs < 1:
+            raise ValueError(f"max_jobs must be >= 1, got {max_jobs}")
         self.max_entries = max_entries
+        self.max_jobs = max_jobs
         self._table: OrderedDict[str, Instance] = OrderedDict()
+        self._jobs = 0
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -76,15 +84,26 @@ class InstanceLRU:
     def __setitem__(self, fingerprint: str, instance: Instance) -> None:
         table = self._table
         if fingerprint in table:
+            self._jobs += instance.n - table[fingerprint].n
             table[fingerprint] = instance
             table.move_to_end(fingerprint)
             return
-        while len(table) >= self.max_entries:
-            _, evicted = table.popitem(last=False)
-            evicted.release_caches()
-            self._evictions += 1
+        max_jobs = self.max_jobs
+        if max_jobs is not None and instance.n > max_jobs:
+            return
+        while len(table) >= self.max_entries or (
+            max_jobs is not None and self._jobs + instance.n > max_jobs
+        ):
+            self._evict_oldest()
         table[fingerprint] = instance
+        self._jobs += instance.n
         self._peak = max(self._peak, len(table))
+
+    def _evict_oldest(self) -> None:
+        _, evicted = self._table.popitem(last=False)
+        self._jobs -= evicted.n
+        evicted.release_caches()
+        self._evictions += 1
 
     def peek(self, fingerprint: str) -> Optional[Instance]:
         """Lookup without touching counters or recency.
@@ -103,12 +122,15 @@ class InstanceLRU:
     def __len__(self) -> int:
         return len(self._table)
 
+    @property
+    def jobs(self) -> int:
+        """Total job count ``n`` of the held instances."""
+        return self._jobs
+
     def clear(self) -> None:
         """Evict everything (shutdown hook): releases every cache set."""
         while self._table:
-            _, evicted = self._table.popitem(last=False)
-            evicted.release_caches()
-            self._evictions += 1
+            self._evict_oldest()
 
     def stats(self) -> LRUStats:
         return LRUStats(
@@ -146,63 +168,53 @@ def _intern_key(obj) -> Optional[tuple]:
     return tuple(setups), tuple(map(tuple, jobs))
 
 
+#: Total job count the loop-side table may hold.  Its tuples are kept
+#: apart from the shard warm sets on the process backend (the children
+#: decode their own copies), so this caps the parent's extra memory at
+#: about 2^17 × 36 B ≈ 4.5 MiB even when every time below 2^30 is a
+#: distinct int object (a tuple slot plus the int).
+INTERN_MAX_JOBS = 1 << 17
+
+
 class InstanceIntern:
     """Bounded ``(setups, jobs) → validated Instance`` table for wire decode.
 
     :meth:`decode` is a drop-in for
-    :func:`~repro.service.protocol.instance_from_obj`.  A miss (or an
-    object :func:`_intern_key` declines) runs that function unchanged, so
-    every rejection and its message are its own; a valid keyed miss is
-    then admitted as a cache-free :meth:`~repro.core.instance.Instance.
-    fresh_copy` template whose tuples *are* the decoded instance's (no
-    second copy of the data).  A hit returns a fresh copy of the
-    template at the request's ``m``: no per-element validation, no
-    aggregate sums, and the fingerprint pre-seeded, so shard routing
-    reads the same digest without re-hashing.  No ``Instance`` is ever
+    :func:`~repro.service.protocol.instance_from_obj`.  An object
+    :func:`_intern_key` declines runs that function unchanged.  A keyed
+    miss skips only its type checks, which the key has just passed, and
+    builds the instance from the key's tuples through the same final
+    step, so every rejection and its message are that function's.  A
+    valid keyed miss is then admitted as a cache-free
+    :meth:`~repro.core.instance.Instance.fresh_copy` template whose
+    tuples *are* the decoded instance's (no second copy of the data).
+    A hit returns a fresh copy of the template at the request's ``m``:
+    no per-element validation, no aggregate sums, and the fingerprint
+    pre-seeded, so shard routing reads the same digest without
+    re-hashing.  No ``Instance`` is ever
     handed to two requests, so shard-side cache release can never reach
-    another request's object.
+    another request's object (evicting a template clears only its own
+    fingerprint dict).
 
-    Not thread-safe by design: only the event loop decodes.  Least
-    recently used entries are dropped past ``max_entries``.
+    The entries live in an :class:`InstanceLRU` bounded by
+    ``max_entries`` and by :data:`INTERN_MAX_JOBS` total jobs.  Not
+    thread-safe by design: only the event loop decodes.
     """
 
     def __init__(self, max_entries: int) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
-        self._table: OrderedDict[tuple, Instance] = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._peak = 0
+        self._lru = InstanceLRU(max_entries, INTERN_MAX_JOBS)
 
     def decode(self, obj) -> Instance:
         key = _intern_key(obj)
         if key is None:
             return instance_from_obj(obj)
-        table = self._table
-        template = table.get(key)
+        template = self._lru.get(key)
         if template is not None:
-            self._hits += 1
-            table.move_to_end(key)
             return template.fresh_copy(obj["m"])
-        self._misses += 1
-        instance = instance_from_obj(obj)
+        instance = _checked_instance(obj["m"], *key)
         instance.fingerprint()  # seeded into the template below
-        template = instance.fresh_copy(instance.m)
-        while len(table) >= self.max_entries:
-            table.popitem(last=False)
-            self._evictions += 1
-        table[template.setups, template.jobs] = template
-        self._peak = max(self._peak, len(table))
+        self._lru[instance.setups, instance.jobs] = instance.fresh_copy(instance.m)
         return instance
 
     def stats(self) -> LRUStats:
-        return LRUStats(
-            entries=len(self._table),
-            peak_entries=self._peak,
-            hits=self._hits,
-            misses=self._misses,
-            evictions=self._evictions,
-            max_entries=self.max_entries,
-        )
+        return self._lru.stats()

@@ -236,8 +236,18 @@ def instance_from_obj(obj) -> Instance:
     if not isinstance(jobs_obj, list):
         raise ProtocolError(f"instance.jobs must be a list of lists, got {jobs_obj!r}")
     jobs = [_int_list(ts, f"instance.jobs[{i}]") for i, ts in enumerate(jobs_obj)]
+    return _checked_instance(m, tuple(setups), tuple(map(tuple, jobs)))
+
+
+def _checked_instance(m: int, setups: tuple, jobs: tuple) -> Instance:
+    """``Instance(m, setups, jobs)`` with its verdicts as wire errors.
+
+    The last step of :func:`instance_from_obj`, once ``m`` and every time
+    are known to be ints; the service's instance table calls it directly
+    for objects whose values it has already found to be exact ints.
+    """
     try:
-        return Instance(m=m, setups=tuple(setups), jobs=tuple(map(tuple, jobs)))
+        return Instance(m=m, setups=setups, jobs=jobs)
     except InvalidInstanceError as exc:
         raise ProtocolError(f"invalid instance: {exc}") from None
 

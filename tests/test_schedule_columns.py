@@ -396,8 +396,8 @@ def _scan_makespan(sched: Schedule) -> Fraction:
 
 class TestFastMakespan:
     """Single-denominator schedules reduce ``start + length`` at C speed
-    (numpy over int64 views, else ``max(map(add, ...))``); every answer
-    equals the per-row scan and the thawed placement-list makespan."""
+    (``max(map(add, ...))``); every answer equals the per-row scan and the
+    thawed placement-list makespan."""
 
     def _check(self, sched: Schedule) -> Fraction:
         got = sched.makespan()
@@ -408,24 +408,14 @@ class TestFastMakespan:
         assert got == thawed.makespan()
         return got
 
-    @pytest.mark.parametrize("numpy_tier", [True, False] if HAVE_NUMPY else [False])
     @pytest.mark.parametrize("inst", SUITE_INSTANCES[::3])
-    def test_single_denominator_solves(self, inst, numpy_tier, monkeypatch):
-        import repro.core.schedule as schedule_mod
-
-        if not numpy_tier:
-            monkeypatch.setattr(schedule_mod, "_np", None)
+    def test_single_denominator_solves(self, inst):
         for variant, sched in suite_schedules(inst):
             cols = sched.columns()
             if len(cols.dens) == 1:
                 self._check(sched)
 
-    @pytest.mark.parametrize("numpy_tier", [True, False] if HAVE_NUMPY else [False])
-    def test_array_and_list_buffers(self, numpy_tier, monkeypatch):
-        import repro.core.schedule as schedule_mod
-
-        if not numpy_tier:
-            monkeypatch.setattr(schedule_mod, "_np", None)
+    def test_array_and_list_buffers(self):
         inst = mk(3, (2, [3, 4]), (1, [5]))
         arrays = Schedule(inst)
         arrays._columns_for_append().extend_scaled(
@@ -455,20 +445,15 @@ class TestFastMakespan:
         assert sched.columns().dens == frozenset({5}) and len(sched.columns()) == 0
         assert sched.makespan() == 0
 
-    @pytest.mark.parametrize("numpy_tier", [True, False] if HAVE_NUMPY else [False])
-    def test_big_int_object_mode(self, numpy_tier, monkeypatch):
-        import repro.core.schedule as schedule_mod
-
-        if not numpy_tier:
-            monkeypatch.setattr(schedule_mod, "_np", None)
+    def test_big_int_object_mode(self):
         big = 1 << 70
         inst = Instance.build(2, [(big, [big, big]), (1, [2]), (3, [big + 1, 5])])
         for variant in Variant:
             sched = solve(inst, variant).schedule
             assert not sched.columns().int_mode
             assert self._check(sched) >= big
-        # int64 rows at the top of the int_mode range: the sum of a start
-        # and a length still fits int64, so the numpy reduction is exact
+        # int64 rows at the top of the int_mode range: the Python-int sum
+        # of a start and a length is exact
         top = (1 << 62) - 1
         sched = Schedule(mk(2, (2, [3])))
         sched._columns_for_append().extend_scaled([0, 1], [top, 0], [top, 1], 1, [0, 0], [-1, 0])

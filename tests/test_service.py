@@ -243,6 +243,22 @@ class TestInstanceLRU:
         assert lru.get("nope") is None
         assert lru.stats().misses == 1
 
+    def test_job_budget_evicts_and_skips_oversized(self):
+        a, b, c = self.make(3)  # five jobs each
+        lru = InstanceLRU(max_entries=8, max_jobs=12)
+        lru[a.fingerprint()] = a
+        lru[b.fingerprint()] = b
+        assert lru.jobs == 10
+        lru[c.fingerprint()] = c  # 15 > 12: evicts a, the least recent
+        assert a.fingerprint() not in lru and lru.jobs == 10
+        big = Instance.build(2, [(1, [1] * 13)])
+        lru[big.fingerprint()] = big  # over the whole budget: not admitted
+        assert big.fingerprint() not in lru and len(lru) == 2 and lru.jobs == 10
+        lru.clear()
+        assert lru.jobs == 0 and lru.stats().evictions == 3
+        with pytest.raises(ValueError, match="max_jobs"):
+            InstanceLRU(max_entries=2, max_jobs=0)
+
 
 # --------------------------------------------------------------------------- #
 # batch_api: up-front validation (satellite) + solve_batch coalescing
@@ -688,6 +704,23 @@ class TestInstanceIntern:
         assert table.stats().hits == 2 and table.stats().misses == 12
         with pytest.raises(ValueError):
             InstanceIntern(0)
+
+    def test_job_budget_bounds_large_instances(self, monkeypatch):
+        import repro.service.cache as cache_mod
+
+        # a default warm set of ~800-job instances fits the real budget
+        assert cache_mod.INTERN_MAX_JOBS >= 32 * 800
+        monkeypatch.setattr(cache_mod, "INTERN_MAX_JOBS", 100)
+        table = cache_mod.InstanceIntern(32)
+        for k in range(12):  # 30 jobs each: at most three held
+            obj = {"m": 2, "setups": [k + 1], "jobs": [[k + 2] * 30]}
+            assert table.decode(obj) == instance_from_obj(obj)
+            assert table._lru.jobs <= 100 and table.stats().entries <= 3
+        assert table.stats().evictions == 9
+        huge = {"m": 2, "setups": [1], "jobs": [[1] * 101]}
+        for _ in range(2):  # decodes fine, but is never held
+            assert table.decode(huge) == instance_from_obj(huge)
+        assert table.stats().misses == 14 and table._lru.jobs == 90
 
     def _stats_after(self, lines, config):
         replies = drive_lines(
